@@ -1,20 +1,25 @@
 // Hot-path microbench: the per-record tokenise -> MinHash -> score chain,
-// legacy layout vs the arena/SIMD overhaul.
+// legacy layout vs the arena/SIMD overhaul, plus the per-neighborhood MMP
+// loop.
 //
-// Three tables, one per pipeline stage, each comparing the historical
-// implementation (heap token strings, per-call scalar loops — replicated
-// inline below so the baseline survives the refactor it measures) against
-// the flat TokenCorpus + dispatched-kernel hot path:
+// Four tables, one per pipeline stage, each comparing the historical
+// implementation (heap token strings, per-call scalar loops, a copy of M+
+// per hypothesis — replicated inline below so the baseline survives the
+// refactor it measures) against the current hot path:
 //  * tokenize — AuthorBlockingTokens string vectors vs arena emission
 //    (tokens/s);
 //  * minhash  — legacy per-token scalar loop vs the batched kernel at
 //    kScalar and (when the CPU has it) kAvx2 (signatures/s, speedup);
 //  * scores   — set-based vs merge-based Jaccard, per-call-allocating vs
 //    scratch-reusing Jaro-Winkler, scalar vs SIMD EstimateJaccard
-//    (scores/s).
+//    (scores/s);
+//  * mmp      — sequential MMP (Algorithm 3) with the historical
+//    COMPUTEMAXIMAL (one copy of M+ per hypothesis) and full-sweep step 7
+//    vs core::RunMmp, same MLN matcher (seconds per run, speedup).
 //
 // Every comparison CEM_CHECKs bit-identical results before it reports a
-// speedup — the overhaul's contract is "same answer, faster". All stages
+// speedup — the overhaul's contract is "same answer, faster"; for MMP that
+// covers the match set and every work counter. All stages
 // run single-threaded (ExecutionContext(1, 1)): the speedups reported here
 // are per-core layout/ISA wins, not parallelism.
 //
@@ -22,15 +27,19 @@
 // CEM_BENCH_SCALE, every kernel level is requested explicitly (never via
 // CEM_SIMD), and a host without AVX2 replays the AVX2 slot at kScalar for
 // counter parity — so the folded-in counter_* values are a pure function
-// of the scale and gate via bench_diff on any host.
+// of the scale and gate via bench_diff on any host. The MMP corpus is built
+// with canopy blocking explicitly (never via CEM_BLOCKING), and its
+// counter_mmp_* / counter_mln_* values pin the work message passing does.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <iterator>
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,7 +47,16 @@
 #include "blocking/blocking_tokens.h"
 #include "blocking/minhash.h"
 #include "blocking/minhash_simd.h"
+#include "core/cover.h"
+#include "core/match_set.h"
+#include "core/matcher.h"
+#include "core/maximal_message.h"
+#include "core/message_passing.h"
+#include "core/neighbor_index.h"
 #include "data/entity.h"
+#include "eval/experiment.h"
+#include "graph/connected_components.h"
+#include "mln/mln_matcher.h"
 #include "text/jaccard.h"
 #include "text/jaro_winkler.h"
 #include "text/token_arena.h"
@@ -121,6 +139,123 @@ double LegacyJaro(std::string_view a, std::string_view b) {
   return (m / len_a + m / len_b + (m - transpositions / 2.0) / m) / 3.0;
 }
 
+/// The historical COMPUTEMAXIMAL (Algorithm 2), verbatim from the
+/// pre-refactor maximal_message.cc: every hypothesis copies all of M+.
+std::vector<core::MaximalMessage> LegacyComputeMaximal(
+    const core::Matcher& matcher, const std::vector<data::EntityId>& entities,
+    const core::MatchSet& evidence, const core::MatchSet& base) {
+  const std::vector<data::EntityPair> hypotheses =
+      matcher.EntangledPairs(entities, evidence, base);
+  std::vector<core::MatchSet> entailed(hypotheses.size());
+  for (size_t i = 0; i < hypotheses.size(); ++i) {
+    core::MatchSet with_p = evidence;
+    with_p.Insert(hypotheses[i]);
+    entailed[i] = matcher.MatchConditioned(entities, with_p, core::MatchSet());
+  }
+  std::unordered_map<uint64_t, uint32_t> position;
+  for (uint32_t i = 0; i < hypotheses.size(); ++i) {
+    position.emplace(data::PairKey(hypotheses[i]), i);
+  }
+  std::vector<std::pair<uint32_t, uint32_t>> edges;
+  for (uint32_t i = 0; i < hypotheses.size(); ++i) {
+    for (uint64_t key : entailed[i].keys()) {
+      auto it = position.find(key);
+      if (it == position.end() || it->second <= i) continue;
+      const uint32_t j = it->second;
+      if (entailed[j].Contains(hypotheses[i])) edges.emplace_back(i, j);
+    }
+  }
+  std::vector<core::MaximalMessage> out;
+  for (const auto& component : graph::ConnectedComponents(
+           static_cast<uint32_t>(hypotheses.size()), edges)) {
+    if (component.size() < 2) continue;
+    core::MaximalMessage message;
+    for (uint32_t idx : component) message.push_back(hypotheses[idx]);
+    out.push_back(std::move(message));
+  }
+  return out;
+}
+
+/// The historical sequential MMP driver (Algorithm 3), verbatim from the
+/// pre-refactor message_passing.cc: a FIFO active set with set semantics,
+/// LegacyComputeMaximal per evaluation, and a step 7 that re-scans all of
+/// M+ for intersecting messages and re-tests every live message until
+/// fixpoint.
+core::MpResult LegacyRunMmp(const core::ProbabilisticMatcher& matcher,
+                            const core::Cover& cover) {
+  constexpr double kScoreEps = 1e-9;
+  core::MpResult result;
+  core::NeighborIndex index(cover);
+  std::deque<uint32_t> queue;
+  std::vector<bool> queued(cover.size(), false);
+  const auto push = [&](uint32_t id) {
+    if (!queued[id]) {
+      queued[id] = true;
+      queue.push_back(id);
+    }
+  };
+  for (uint32_t id = 0; id < cover.size(); ++id) push(id);
+  const size_t k = cover.MaxNeighborhoodSize();
+  const size_t cap = cover.size() * std::max<size_t>(k * k, 16) + 64;
+
+  core::MatchSet& matched = result.matches;
+  core::MaximalMessageSet messages;
+  const auto promote = [&](uint32_t id,
+                           std::vector<data::EntityPair>& new_matches) {
+    for (const data::EntityPair& p : messages.Message(id)) {
+      if (matched.Insert(p)) new_matches.push_back(p);
+    }
+    messages.RemoveMessage(id);
+    ++result.messages_promoted;
+  };
+  while (!queue.empty() && result.neighborhood_evaluations < cap) {
+    const uint32_t c = queue.front();
+    queue.pop_front();
+    queued[c] = false;
+    ++result.neighborhood_evaluations;
+    const std::vector<data::EntityId>& entities =
+        cover.neighborhood(c).entities;
+    const core::MatchSet mc = matcher.Match(entities, matched);
+    const std::vector<core::MaximalMessage> tc =
+        LegacyComputeMaximal(matcher, entities, matched, mc);
+    result.matcher_calls += 2;
+    result.messages_created += tc.size();
+
+    std::vector<data::EntityPair> new_matches = mc.Difference(matched);
+    matched.InsertAll(mc);
+    for (const core::MaximalMessage& m : tc) messages.Insert(m);
+
+    bool promoted = true;
+    while (promoted) {
+      promoted = false;
+      std::vector<uint32_t> intersecting;
+      for (uint32_t id : messages.LiveIds()) {
+        for (const data::EntityPair& p : messages.Message(id)) {
+          if (matched.Contains(p)) {
+            intersecting.push_back(id);
+            break;
+          }
+        }
+      }
+      for (uint32_t id : intersecting) {
+        promote(id, new_matches);
+        promoted = true;
+      }
+      for (uint32_t id : messages.LiveIds()) {
+        if (matcher.ScoreDelta(matched, messages.Message(id)) >= -kScoreEps) {
+          promote(id, new_matches);
+          promoted = true;
+        }
+      }
+    }
+
+    for (uint32_t affected : index.AffectedBy(new_matches)) {
+      if (affected != c) push(affected);
+    }
+  }
+  return result;
+}
+
 // --- synthetic workload -----------------------------------------------------
 
 /// Author-reference-shaped entities with Zipf name popularity, so token
@@ -177,7 +312,8 @@ int main() {
       "the per-record hot path (tokenise, MinHash, score) is memory-layout "
       "and ISA bound, not algorithm bound: a flat arena corpus with batched "
       "bit-identical SIMD kernels gives integer-factor per-core speedups "
-      "with zero change in output");
+      "with zero change in output; MMP's per-neighborhood loop is measured "
+      "against its legacy driver the same way");
   bench::JsonReport report("bench_hotpath");
 
   // Single-threaded on purpose: per-core wins only (see header comment).
@@ -406,6 +542,72 @@ int main() {
                  TableWriter::Num(legacy_jw_s / scratch_jw_s, 2)});
   report.Table("scores", scores);
   report.Metric("speedup_jaccard_merge", legacy_jaccard_s / merge_jaccard_s);
+
+  // --- mmp ------------------------------------------------------------------
+  // Sequential MMP on a HEPTH-like corpus (large, ambiguous neighborhoods:
+  // many hypotheses per evaluation and many live messages). Both drivers
+  // share one MLN matcher; its run counters are reset before every pass, so
+  // after TimeBest they describe the last pass of each driver.
+  constexpr int kMmpReps = 3;
+  const eval::Workload hepth = eval::MakeHepthWorkload(
+      std::max(0.3, scale), core::BlockingStrategy::kCanopy, ctx);
+  const mln::MlnMatcher mln_matcher(*hepth.dataset);
+  core::MpResult legacy_mmp;
+  uint64_t legacy_runs = 0;
+  uint64_t legacy_free_vars = 0;
+  const double legacy_mmp_s = TimeBest(kMmpReps, [&] {
+    mln_matcher.ResetCounters();
+    legacy_mmp = LegacyRunMmp(mln_matcher, hepth.cover);
+    legacy_runs = mln_matcher.num_runs();
+    legacy_free_vars = mln_matcher.total_free_variables();
+  });
+  core::MpResult mmp;
+  const double mmp_s = TimeBest(kMmpReps, [&] {
+    mln_matcher.ResetCounters();
+    mmp = core::RunMmp(mln_matcher, hepth.cover);
+  });
+  CEM_CHECK(mmp.matches == legacy_mmp.matches)
+      << "RunMmp diverged from the legacy driver's matches";
+  CEM_CHECK(mmp.neighborhood_evaluations ==
+                legacy_mmp.neighborhood_evaluations &&
+            mmp.messages_created == legacy_mmp.messages_created &&
+            mmp.messages_promoted == legacy_mmp.messages_promoted)
+      << "RunMmp diverged from the legacy driver's work counters";
+  CEM_CHECK(mln_matcher.num_runs() == legacy_runs &&
+            mln_matcher.total_free_variables() == legacy_free_vars)
+      << "RunMmp diverged from the legacy driver's matcher work";
+
+  TableWriter mmp_table({"driver", "evaluations", "messages", "promoted",
+                         "matches", "s/run", "speedup"});
+  const auto mmp_row = [&](const std::string& name, const core::MpResult& r,
+                           double seconds) {
+    mmp_table.AddRow({name, std::to_string(r.neighborhood_evaluations),
+                      std::to_string(r.messages_created),
+                      std::to_string(r.messages_promoted),
+                      std::to_string(r.matches.size()),
+                      TableWriter::Num(seconds, 4),
+                      TableWriter::Num(legacy_mmp_s / seconds, 2)});
+  };
+  std::printf("\nMMP corpus: %zu entities, %zu candidate pairs, %zu "
+              "neighborhoods\n",
+              hepth.dataset->num_entities(),
+              hepth.dataset->candidate_pairs().size(), hepth.cover.size());
+  mmp_row("legacy: M+ copy per hypothesis", legacy_mmp, legacy_mmp_s);
+  mmp_row("RunMmp", mmp, mmp_s);
+  report.Table("mmp", mmp_table);
+  report.Metric("speedup_mmp", legacy_mmp_s / mmp_s);
+  report.Metric("counter_mmp_evaluations",
+                static_cast<double>(mmp.neighborhood_evaluations));
+  report.Metric("counter_mmp_messages_created",
+                static_cast<double>(mmp.messages_created));
+  report.Metric("counter_mmp_messages_promoted",
+                static_cast<double>(mmp.messages_promoted));
+  report.Metric("counter_mmp_matches",
+                static_cast<double>(mmp.matches.size()));
+  report.Metric("counter_mln_runs",
+                static_cast<double>(mln_matcher.num_runs()));
+  report.Metric("counter_mln_free_variables",
+                static_cast<double>(mln_matcher.total_free_variables()));
 
   std::printf(
       "\nNote: every row above was checked bit-identical to the legacy\n"
