@@ -15,8 +15,6 @@
 namespace cem::core {
 namespace {
 
-constexpr double kScoreEps = 1e-9;
-
 /// Output of one map task (one neighborhood run).
 struct MapOutput {
   MatchSet matches;
@@ -125,31 +123,12 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
       matched.InsertAll(out.matches);
     }
     if (options.scheme == MpScheme::kMmp) {
+      const uint32_t first_fresh = messages.next_id();
       for (const MapOutput& out : outputs) {
         for (const MaximalMessage& m : out.messages) messages.Insert(m);
       }
-      bool promoted = true;
-      while (promoted) {
-        promoted = false;
-        for (uint32_t id : messages.FindIntersecting(matched)) {
-          for (const data::EntityPair& p : messages.Message(id)) {
-            if (matched.Insert(p)) new_matches.push_back(p);
-          }
-          messages.RemoveMessage(id);
-          promoted = true;
-        }
-        for (uint32_t id : messages.LiveIds()) {
-          const double delta =
-              probabilistic->ScoreDelta(matched, messages.Message(id));
-          if (delta >= -kScoreEps) {
-            for (const data::EntityPair& p : messages.Message(id)) {
-              if (matched.Insert(p)) new_matches.push_back(p);
-            }
-            messages.RemoveMessage(id);
-            promoted = true;
-          }
-        }
-      }
+      PromoteSoundMessages(*probabilistic, messages, first_fresh, matched,
+                           new_matches);
     }
 
     active = index.AffectedBy(new_matches);

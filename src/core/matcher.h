@@ -32,9 +32,16 @@ class Matcher {
   virtual ~Matcher() = default;
 
   /// E(C, V+, V-). `entities` lists the neighborhood's members (order
-  /// irrelevant, duplicates ignored). Evidence outside C x C is ignored.
-  /// The output contains every positive-evidence pair inside C x C (this
-  /// makes idempotence natural) plus the newly inferred matches.
+  /// irrelevant, duplicates ignored). The output contains every
+  /// positive-evidence pair inside C x C (this makes idempotence natural)
+  /// plus the newly inferred matches.
+  ///
+  /// Evidence locality (load-bearing): evidence outside C x C is ignored,
+  /// so restricting V+ and V- to pairs with both endpoints in C — candidate
+  /// pairs or not — never changes the output of Match, MatchConditioned or
+  /// EntangledPairs. COMPUTEMAXIMAL relies on it to hand conditioned runs
+  /// that restriction instead of a copy of all of M+;
+  /// tests/properties_test.cc pins it for the shipped matchers.
   virtual MatchSet Match(const std::vector<data::EntityId>& entities,
                          const MatchSet& positive,
                          const MatchSet& negative) const = 0;
@@ -52,12 +59,14 @@ class Matcher {
 
   /// A *conditioned re-run* on a neighborhood the matcher has just
   /// evaluated: same entities, slightly extended evidence. COMPUTEMAXIMAL
-  /// (Algorithm 2) issues one such call per hypothesis pair. Solvers that
-  /// keep per-neighborhood state (e.g. dynamic graph cuts, warm-started
-  /// samplers) can make these marginal re-solves far cheaper than a fresh
-  /// run; the default simply forwards to Match(). The benchmark cost model
-  /// charges conditioned runs a small fraction of a fresh run for the same
-  /// reason.
+  /// (Algorithm 2) issues one such call per hypothesis pair, right after
+  /// Match on the same entities and on the same thread. Solvers that keep
+  /// per-neighborhood state (e.g. dynamic graph cuts, warm-started
+  /// samplers, mln::MlnMatcher's per-thread induced model) can make these
+  /// marginal re-solves far cheaper than a fresh run; such state must never
+  /// change the answer, only its cost. The default simply forwards to
+  /// Match(). The benchmark cost model charges conditioned runs a small
+  /// fraction of a fresh run for the same reason.
   virtual MatchSet MatchConditioned(const std::vector<data::EntityId>& entities,
                                     const MatchSet& positive,
                                     const MatchSet& negative) const {

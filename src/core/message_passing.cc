@@ -1,7 +1,6 @@
 #include "core/message_passing.h"
 
 #include <deque>
-#include <unordered_set>
 
 #include "core/maximal_message.h"
 #include "core/neighbor_index.h"
@@ -10,10 +9,6 @@
 
 namespace cem::core {
 namespace {
-
-// Tolerance of the MMP step-7 test  P_E(M+ ∪ M) >= P_E(M+): tiny negative
-// score deltas caused by floating-point noise still count as non-decreasing.
-constexpr double kScoreEps = 1e-9;
 
 /// FIFO active set with set semantics (a neighborhood queued twice runs
 /// once): Algorithm 1/3's A.
@@ -96,7 +91,11 @@ MpResult RunMmpImpl(const ProbabilisticMatcher& matcher, const Cover& cover,
     std::vector<data::EntityPair> new_matches = mc.Difference(matched);
     matched.InsertAll(mc);
     if (merge_messages) {
+      const uint32_t first_fresh = messages.next_id();
       for (const MaximalMessage& m : tc) messages.Insert(m);
+      // Step 7: promote sound messages until fixpoint.
+      result.messages_promoted += PromoteSoundMessages(
+          matcher, messages, first_fresh, matched, new_matches);
     } else {
       for (const MaximalMessage& m : tc) {
         // Ablation: no merge — insert each message as its own island by
@@ -107,37 +106,6 @@ MpResult RunMmpImpl(const ProbabilisticMatcher& matcher, const Cover& cover,
             if (matched.Insert(p)) new_matches.push_back(p);
           }
           ++result.messages_promoted;
-        }
-      }
-    }
-
-    // Step 7: promote sound messages until fixpoint. Two triggers:
-    //  (a) a message intersecting M+ is entirely sound (Definition 8 +
-    //      soundness of M+);
-    //  (b) the probabilistic test P_E(M+ ∪ M) >= P_E(M+).
-    if (merge_messages) {
-      bool promoted = true;
-      while (promoted) {
-        promoted = false;
-        for (uint32_t id : messages.FindIntersecting(matched)) {
-          for (const data::EntityPair& p : messages.Message(id)) {
-            if (matched.Insert(p)) new_matches.push_back(p);
-          }
-          messages.RemoveMessage(id);
-          ++result.messages_promoted;
-          promoted = true;
-        }
-        for (uint32_t id : messages.LiveIds()) {
-          const MaximalMessage& m = messages.Message(id);
-          const double delta = matcher.ScoreDelta(matched, m);
-          if (delta >= -kScoreEps) {
-            for (const data::EntityPair& p : m) {
-              if (matched.Insert(p)) new_matches.push_back(p);
-            }
-            messages.RemoveMessage(id);
-            ++result.messages_promoted;
-            promoted = true;
-          }
         }
       }
     }

@@ -1,7 +1,7 @@
 #include "mln/map_inference.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <cstdint>
 
 #include "graph/max_flow.h"
 #include "util/logging.h"
@@ -12,119 +12,95 @@ namespace {
 /// Clamp states of a variable inside one inference call.
 enum class Clamp : uint8_t { kFree, kOne, kZero };
 
-/// The induced subproblem: variables (candidate pairs fully inside C),
-/// their clamp states and induced unary weights, and the induced links.
-struct Induced {
-  std::vector<data::PairId> vars;                 // All in-C candidate pairs.
-  std::unordered_map<data::PairId, int> index;    // PairId -> position.
-  std::vector<Clamp> clamp;
-  std::vector<double> theta;                      // Induced unary weight.
-  // Links between in-C variables, each unordered link once (i < j by
-  // position).
-  std::vector<std::pair<int, int>> links;
-};
-
-bool InMembers(const std::unordered_set<data::EntityId>& members,
-               data::EntityId e) {
-  return members.count(e) > 0;
+/// The per-call part of an induced subproblem: each variable's clamp under
+/// the evidence.
+std::vector<Clamp> ClampsOf(const InducedModel& model, const PairGraph& graph,
+                            const core::MatchSet& positive,
+                            const core::MatchSet& negative) {
+  std::vector<Clamp> clamp(model.vars.size(), Clamp::kFree);
+  for (size_t i = 0; i < model.vars.size(); ++i) {
+    const data::EntityPair p = graph.node(model.vars[i]).pair;
+    if (negative.Contains(p)) {
+      clamp[i] = Clamp::kZero;
+    } else if (positive.Contains(p)) {
+      clamp[i] = Clamp::kOne;
+    }
+  }
+  return clamp;
 }
 
-Induced BuildInduced(const data::Dataset& dataset, const PairGraph& graph,
-                     const MlnWeights& weights,
-                     const std::unordered_set<data::EntityId>& members,
-                     const core::MatchSet& positive,
-                     const core::MatchSet& negative) {
-  Induced induced;
-  // Collect candidate pairs fully inside C, each once.
-  for (data::EntityId e : members) {
-    for (data::PairId id : dataset.PairsOfEntity(e)) {
-      const data::EntityPair p = graph.node(id).pair;
-      // Each pair is seen from both endpoints; take it from the smaller.
-      if (p.a != e) continue;
-      if (!InMembers(members, p.b)) continue;
-      induced.index.emplace(id, static_cast<int>(induced.vars.size()));
-      induced.vars.push_back(id);
-    }
-  }
-  const size_t n = induced.vars.size();
-  induced.clamp.resize(n, Clamp::kFree);
-  induced.theta.resize(n, 0.0);
-
-  for (size_t i = 0; i < n; ++i) {
-    const PairGraph::Node& node = graph.node(induced.vars[i]);
-    if (negative.Contains(node.pair)) {
-      induced.clamp[i] = Clamp::kZero;
-    } else if (positive.Contains(node.pair)) {
-      induced.clamp[i] = Clamp::kOne;
-    }
-    // Induced unary: similarity rule + reflexive groundings whose shared
-    // coauthor lies inside C.
-    double theta = weights.SimWeight(node.level);
-    for (data::EntityId c : node.shared_coauthors) {
-      if (InMembers(members, c)) theta += weights.w_coauthor;
-    }
-    induced.theta[i] = theta;
-  }
-
-  // Induced links. A link {p, q} is inside C iff q is an in-C variable
-  // (p already is); record once per unordered link.
-  for (size_t i = 0; i < n; ++i) {
-    const PairGraph::Node& node = graph.node(induced.vars[i]);
-    for (data::PairId q : node.links) {
-      auto it = induced.index.find(q);
-      if (it == induced.index.end()) continue;
-      const int j = it->second;
-      if (static_cast<int>(i) < j) induced.links.emplace_back(i, j);
-    }
-  }
-  return induced;
+std::vector<data::EntityId> SortedMembers(
+    const std::unordered_set<data::EntityId>& members) {
+  std::vector<data::EntityId> sorted(members.begin(), members.end());
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
 }
 
 }  // namespace
 
-double InducedScore(const data::Dataset& dataset, const PairGraph& graph,
-                    const MlnWeights& weights,
-                    const std::unordered_set<data::EntityId>& members,
-                    const core::MatchSet& matches) {
-  const Induced induced = BuildInduced(dataset, graph, weights, members,
-                                       /*positive=*/core::MatchSet(),
-                                       /*negative=*/core::MatchSet());
-  double score = 0.0;
-  std::vector<bool> x(induced.vars.size(), false);
-  for (size_t i = 0; i < induced.vars.size(); ++i) {
-    x[i] = matches.Contains(graph.node(induced.vars[i]).pair);
-    if (x[i]) score += induced.theta[i];
+InducedModel BuildInducedModel(const data::Dataset& dataset,
+                               const PairGraph& graph,
+                               const MlnWeights& weights,
+                               const std::vector<data::EntityId>& members) {
+  const auto in_members = [&](data::EntityId e) {
+    return std::binary_search(members.begin(), members.end(), e);
+  };
+  InducedModel model;
+  // Candidate pairs fully inside C, each once: a pair is seen from both
+  // endpoints, so take it from the smaller.
+  for (data::EntityId e : members) {
+    for (data::PairId id : dataset.PairsOfEntity(e)) {
+      const data::EntityPair p = graph.node(id).pair;
+      if (p.a == e && in_members(p.b)) model.vars.push_back(id);
+    }
   }
-  for (const auto& [i, j] : induced.links) {
-    if (x[i] && x[j]) score += weights.w_coauthor;
+  std::sort(model.vars.begin(), model.vars.end());
+
+  model.theta.reserve(model.vars.size());
+  for (size_t i = 0; i < model.vars.size(); ++i) {
+    const PairGraph::Node& node = graph.node(model.vars[i]);
+    double theta = weights.SimWeight(node.level);
+    for (data::EntityId c : node.shared_coauthors) {
+      if (in_members(c)) theta += weights.w_coauthor;
+    }
+    model.theta.push_back(theta);
+    // A link {p, q} is inside C iff q is a variable too. Positions follow
+    // PairId order, so recording it from the smaller id records it once.
+    for (data::PairId q : node.links) {
+      if (q <= model.vars[i]) continue;
+      const auto it = std::lower_bound(model.vars.begin(), model.vars.end(), q);
+      if (it != model.vars.end() && *it == q) {
+        model.links.emplace_back(static_cast<int>(i),
+                                 static_cast<int>(it - model.vars.begin()));
+      }
+    }
   }
-  return score;
+  return model;
 }
 
-core::MatchSet SolveNeighborhoodMap(
-    const data::Dataset& dataset, const PairGraph& graph,
-    const MlnWeights& weights,
-    const std::unordered_set<data::EntityId>& members,
-    const core::MatchSet& positive, const core::MatchSet& negative,
-    InferenceStats* stats) {
-  const Induced induced =
-      BuildInduced(dataset, graph, weights, members, positive, negative);
-  const size_t n = induced.vars.size();
+core::MatchSet SolveInducedMap(const InducedModel& model,
+                               const PairGraph& graph,
+                               const MlnWeights& weights,
+                               const core::MatchSet& positive,
+                               const core::MatchSet& negative,
+                               InferenceStats* stats) {
+  const size_t n = model.vars.size();
+  const std::vector<Clamp> clamp = ClampsOf(model, graph, positive, negative);
 
   // Fold clamped variables into the free subproblem.
   std::vector<int> free_index(n, -1);
   int num_free = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (induced.clamp[i] == Clamp::kFree) free_index[i] = num_free++;
+    if (clamp[i] == Clamp::kFree) free_index[i] = num_free++;
   }
   std::vector<double> theta(num_free);
   for (size_t i = 0; i < n; ++i) {
-    if (free_index[i] >= 0) theta[free_index[i]] = induced.theta[i];
+    if (free_index[i] >= 0) theta[free_index[i]] = model.theta[i];
   }
   std::vector<std::pair<int, int>> free_links;
-  for (const auto& [i, j] : induced.links) {
-    const Clamp ci = induced.clamp[i];
-    const Clamp cj = induced.clamp[j];
+  for (const auto& [i, j] : model.links) {
+    const Clamp ci = clamp[i];
+    const Clamp cj = clamp[j];
     if (ci == Clamp::kFree && cj == Clamp::kFree) {
       free_links.emplace_back(free_index[i], free_index[j]);
     } else if (ci == Clamp::kFree && cj == Clamp::kOne) {
@@ -147,7 +123,6 @@ core::MatchSet SolveNeighborhoodMap(
     const double w = weights.w_coauthor;
     CEM_CHECK(w >= 0.0) << "attractive coauthor weight required for exact "
                            "graph-cut inference";
-    std::vector<double> unary_cost(theta.begin(), theta.end());
     // c_i = -theta_i - (w/2) * degree_i ; pairwise w/2 both ways.
     std::vector<double> c(num_free);
     for (int i = 0; i < num_free; ++i) c[i] = -theta[i];
@@ -171,17 +146,26 @@ core::MatchSet SolveNeighborhoodMap(
     flow.Solve(source, sink);
     const std::vector<bool> on_source_side = flow.SinkUnreachableSet();
     for (int i = 0; i < num_free; ++i) x[i] = on_source_side[i];
-    (void)unary_cost;
   }
 
   core::MatchSet out;
   for (size_t i = 0; i < n; ++i) {
-    if (induced.clamp[i] == Clamp::kOne ||
-        (free_index[i] >= 0 && x[free_index[i]])) {
-      out.Insert(graph.node(induced.vars[i]).pair);
+    if (clamp[i] == Clamp::kOne || (free_index[i] >= 0 && x[free_index[i]])) {
+      out.Insert(graph.node(model.vars[i]).pair);
     }
   }
   return out;
+}
+
+core::MatchSet SolveNeighborhoodMap(
+    const data::Dataset& dataset, const PairGraph& graph,
+    const MlnWeights& weights,
+    const std::unordered_set<data::EntityId>& members,
+    const core::MatchSet& positive, const core::MatchSet& negative,
+    InferenceStats* stats) {
+  return SolveInducedMap(
+      BuildInducedModel(dataset, graph, weights, SortedMembers(members)),
+      graph, weights, positive, negative, stats);
 }
 
 core::MatchSet BruteForceMap(
@@ -189,25 +173,26 @@ core::MatchSet BruteForceMap(
     const MlnWeights& weights,
     const std::unordered_set<data::EntityId>& members,
     const core::MatchSet& positive, const core::MatchSet& negative) {
-  const Induced induced =
-      BuildInduced(dataset, graph, weights, members, positive, negative);
-  const size_t n = induced.vars.size();
+  const InducedModel model =
+      BuildInducedModel(dataset, graph, weights, SortedMembers(members));
+  const std::vector<Clamp> clamp = ClampsOf(model, graph, positive, negative);
+  const size_t n = model.vars.size();
 
   std::vector<int> free_vars;
   for (size_t i = 0; i < n; ++i) {
-    if (induced.clamp[i] == Clamp::kFree) free_vars.push_back(static_cast<int>(i));
+    if (clamp[i] == Clamp::kFree) free_vars.push_back(static_cast<int>(i));
   }
   CEM_CHECK(free_vars.size() <= 25) << "brute force limited to 25 variables";
 
   std::vector<bool> x(n, false);
-  for (size_t i = 0; i < n; ++i) x[i] = induced.clamp[i] == Clamp::kOne;
+  for (size_t i = 0; i < n; ++i) x[i] = clamp[i] == Clamp::kOne;
 
   auto score_of = [&](const std::vector<bool>& assignment) {
     double score = 0.0;
     for (size_t i = 0; i < n; ++i) {
-      if (assignment[i]) score += induced.theta[i];
+      if (assignment[i]) score += model.theta[i];
     }
-    for (const auto& [i, j] : induced.links) {
+    for (const auto& [i, j] : model.links) {
       if (assignment[i] && assignment[j]) score += weights.w_coauthor;
     }
     return score;
@@ -237,9 +222,8 @@ core::MatchSet BruteForceMap(
 
   core::MatchSet out;
   for (size_t i = 0; i < n; ++i) {
-    if (best[i]) out.Insert(graph.node(induced.vars[i]).pair);
+    if (best[i]) out.Insert(graph.node(model.vars[i]).pair);
   }
-  (void)dataset;
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/match_set.h"
@@ -21,16 +22,46 @@ struct InferenceStats {
   size_t num_edges = 0;       // Pairwise link terms among free variables.
 };
 
-/// Exact MAP over the sub-network induced by `members` (R(C) semantics),
-/// conditioned on evidence: pairs of `positive` inside C x C are clamped to
-/// match, pairs of `negative` to non-match. Returns the *largest*
-/// most-likely match set (Section 3.2's tie-break), which includes the
-/// clamped positive pairs.
+/// The evidence-independent part of a neighborhood's induced sub-network
+/// (R(C) semantics): a pure function of (dataset, graph, weights, C), so it
+/// is built once per neighborhood and shared by every evidence-conditioned
+/// solve over it.
+struct InducedModel {
+  /// Candidate pairs with both endpoints in C, ascending.
+  std::vector<data::PairId> vars;
+  /// Induced unary weight per variable: the similarity rule plus one
+  /// reflexive coauthor grounding per shared coauthor inside C.
+  std::vector<double> theta;
+  /// Links between variables, by position, each unordered link once
+  /// (first < second).
+  std::vector<std::pair<int, int>> links;
+};
+
+/// Builds the induced model of the neighborhood `members`, which must be
+/// sorted and duplicate-free.
+InducedModel BuildInducedModel(const data::Dataset& dataset,
+                               const PairGraph& graph,
+                               const MlnWeights& weights,
+                               const std::vector<data::EntityId>& members);
+
+/// Exact MAP over `model` conditioned on evidence: variables in `positive`
+/// are clamped to match, those in `negative` to non-match (evidence outside
+/// the model's variables is ignored). Returns the *largest* most-likely
+/// match set (Section 3.2's tie-break), which includes the clamped positive
+/// variables.
 ///
 /// Exactness: the energy is pairwise-submodular (all interaction weights
 /// are attractive for w_coauthor >= 0), so the minimiser is an s-t min-cut;
 /// the largest optimal assignment is the sink-unreachable side of the
 /// residual graph.
+core::MatchSet SolveInducedMap(const InducedModel& model,
+                               const PairGraph& graph,
+                               const MlnWeights& weights,
+                               const core::MatchSet& positive,
+                               const core::MatchSet& negative,
+                               InferenceStats* stats = nullptr);
+
+/// SolveInducedMap over the sub-network induced by `members`.
 core::MatchSet SolveNeighborhoodMap(
     const data::Dataset& dataset, const PairGraph& graph,
     const MlnWeights& weights,
@@ -46,14 +77,6 @@ core::MatchSet BruteForceMap(
     const MlnWeights& weights,
     const std::unordered_set<data::EntityId>& members,
     const core::MatchSet& positive, const core::MatchSet& negative);
-
-/// Score of an explicit assignment restricted to the induced sub-network:
-/// sum of unary plus link groundings inside `members` satisfied by
-/// `matches`. Shared by both solvers and by tests.
-double InducedScore(const data::Dataset& dataset, const PairGraph& graph,
-                    const MlnWeights& weights,
-                    const std::unordered_set<data::EntityId>& members,
-                    const core::MatchSet& matches);
 
 }  // namespace cem::mln
 

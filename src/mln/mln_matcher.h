@@ -24,8 +24,14 @@ namespace cem::mln {
 /// by the paper's Proposition 4: every rule has a single equals literal in
 /// its implicant. Property tests verify this empirically.
 ///
-/// Thread safety: Match/Score/ScoreDelta are const and safe to call
-/// concurrently (the GridExecutor does); the run counters are atomic.
+/// Thread safety: every method is const and safe to call concurrently (the
+/// GridExecutor does); the run counters are atomic. Each thread keeps the
+/// induced model of the last neighborhood it solved, keyed by this
+/// matcher's never-reused instance id and the entity list, so the
+/// conditioned re-solves and EntangledPairs call COMPUTEMAXIMAL issues
+/// right after Match reuse it instead of rebuilding it. Threads share no
+/// model, and a model is sized by its neighborhood: there is no
+/// PairId- or EntityId-indexed scratch.
 class MlnMatcher : public core::ProbabilisticMatcher {
  public:
   /// Builds the ground network for `dataset`. The dataset must outlive the
@@ -66,6 +72,7 @@ class MlnMatcher : public core::ProbabilisticMatcher {
   const data::Dataset* dataset_;
   MlnWeights weights_;
   PairGraph graph_;
+  const uint64_t instance_id_;  // Key of the per-thread model cache.
   mutable std::atomic<uint64_t> num_runs_{0};
   mutable std::atomic<uint64_t> total_free_vars_{0};
 };

@@ -71,9 +71,13 @@ core::MatchSet RulesMatcher::Match(const std::vector<data::EntityId>& entities,
     if (required < 0) continue;
     if (required > 0 && support_count(node) < required) continue;
     matched.Insert(node.pair);
-    // Wake the link partners (they may now have enough support).
+    // Wake the link partners inside C (they may now have enough support);
+    // pairs outside C x C are not this run's to decide (R(C) semantics).
     for (data::PairId q : node.links) {
-      if (queued.insert(q).second) active.push_back(q);
+      const data::EntityPair qp = graph_.node(q).pair;
+      if (in_members(qp.a) && in_members(qp.b) && queued.insert(q).second) {
+        active.push_back(q);
+      }
     }
   }
 

@@ -2,6 +2,8 @@
 // every combination of corpus family, matcher and execution scheme — this
 // is the "does it hold everywhere" net over the per-module tests.
 
+#include <unistd.h>
+
 #include <memory>
 #include <string>
 #include <tuple>
@@ -117,8 +119,11 @@ TEST_P(FrameworkSweep, PrecisionUsefulOnAllCombinations) {
 TEST_P(FrameworkSweep, TsvRoundTripPreservesPipelineOutput) {
   auto [corpus, which] = GetParam();
   Instance& inst = GetInstance(corpus);
+  // Unique per matcher and process: ctest runs each case in its own
+  // process, in parallel, and the cases of one corpus must not share a file.
   const std::string path = ::testing::TempDir() + "/sweep_" +
-                           CorpusName(corpus) + ".tsv";
+                           CorpusName(corpus) + "_" + MatcherName(which) +
+                           "_" + std::to_string(::getpid()) + ".tsv";
   ASSERT_TRUE(data::SaveDatasetTsv(*inst.dataset, path).ok());
   auto loaded = data::LoadDatasetTsv(path);
   ASSERT_TRUE(loaded.ok());

@@ -192,12 +192,133 @@ TEST(MaximalMessageSetTest, ChainMergeAcrossThreeMessages) {
 TEST(MaximalMessageSetTest, FindIntersectingAndRemove) {
   MaximalMessageSet set;
   const uint32_t id = set.Insert({EntityPair(1, 2), EntityPair(3, 4)});
-  MatchSet probe;
-  probe.Insert(EntityPair(3, 4));
+  const std::vector<EntityPair> probe = {EntityPair(3, 4)};
   EXPECT_EQ(set.FindIntersecting(probe), (std::vector<uint32_t>{id}));
   set.RemoveMessage(id);
   EXPECT_EQ(set.num_live(), 0u);
   EXPECT_TRUE(set.FindIntersecting(probe).empty());
+}
+
+TEST(MaximalMessageSetTest, FindIntersectingIsSortedUniqueAndLiveOnly) {
+  MaximalMessageSet set;
+  const uint32_t x = set.Insert({EntityPair(1, 2), EntityPair(3, 4)});
+  const uint32_t y = set.Insert({EntityPair(5, 6), EntityPair(7, 8)});
+  const std::vector<EntityPair> probe = {EntityPair(7, 8), EntityPair(3, 4),
+                                         EntityPair(1, 2), EntityPair(9, 10)};
+  EXPECT_EQ(set.FindIntersecting(probe), (std::vector<uint32_t>{x, y}));
+  set.RemoveMessage(x);
+  EXPECT_EQ(set.FindIntersecting(probe), (std::vector<uint32_t>{y}));
+  EXPECT_TRUE(set.FindIntersecting({}).empty());
+}
+
+TEST(MaximalMessageSetTest, MergedMessagesGetFreshIds) {
+  MaximalMessageSet set;
+  EXPECT_EQ(set.next_id(), 0u);
+  const uint32_t x = set.Insert({EntityPair(1, 2), EntityPair(3, 4)});
+  const uint32_t y = set.Insert({EntityPair(5, 6), EntityPair(7, 8)});
+  const uint32_t first_fresh = set.next_id();
+  // Absorbs x: the union is a new message, x dies.
+  const uint32_t merged = set.Insert({EntityPair(3, 4), EntityPair(9, 10)});
+  EXPECT_EQ(merged, first_fresh);
+  EXPECT_EQ(set.next_id(), merged + 1);
+  EXPECT_EQ(set.LiveIds(), (std::vector<uint32_t>{y, merged}));
+  EXPECT_EQ(set.LiveIds(first_fresh), (std::vector<uint32_t>{merged}));
+  EXPECT_EQ(set.Message(merged).size(), 3u);
+  EXPECT_NE(x, merged);
+}
+
+/// Forwards to the Figure 1 MLN matcher, counting ScoreDelta calls.
+class CountingMatcher : public ProbabilisticMatcher {
+ public:
+  explicit CountingMatcher(const ProbabilisticMatcher& inner) : inner_(inner) {}
+  MatchSet Match(const std::vector<EntityId>& entities,
+                 const MatchSet& positive,
+                 const MatchSet& negative) const override {
+    return inner_.Match(entities, positive, negative);
+  }
+  const data::Dataset& dataset() const override { return inner_.dataset(); }
+  double Score(const MatchSet& matches) const override {
+    return inner_.Score(matches);
+  }
+  double ScoreDelta(const MatchSet& current,
+                    const std::vector<EntityPair>& additions) const override {
+    ++score_delta_calls;
+    return inner_.ScoreDelta(current, additions);
+  }
+  mutable size_t score_delta_calls = 0;
+
+ private:
+  const ProbabilisticMatcher& inner_;
+};
+
+TEST_F(Figure1Mp, PromoteSoundMessagesTriggerAIntersectsNewMatches) {
+  // C1's message {(a1,a2),(b2,b3)} scores -2 on its own; once (a1,a2) is
+  // matched the whole message is sound.
+  CountingMatcher counting(matcher_);
+  MaximalMessageSet messages;
+  messages.Insert({P(fig_.a1, fig_.a2), P(fig_.b2, fig_.b3)});
+  MatchSet matched;
+  matched.Insert(P(fig_.a1, fig_.a2));
+  std::vector<EntityPair> new_matches = {P(fig_.a1, fig_.a2)};
+  EXPECT_EQ(PromoteSoundMessages(counting, messages, messages.next_id(),
+                                 matched, new_matches),
+            1u);
+  EXPECT_TRUE(matched.Contains(P(fig_.b2, fig_.b3)));
+  EXPECT_EQ(new_matches, (std::vector<EntityPair>{P(fig_.a1, fig_.a2),
+                                                  P(fig_.b2, fig_.b3)}));
+  EXPECT_EQ(messages.num_live(), 0u);
+  EXPECT_EQ(counting.score_delta_calls, 0u);
+}
+
+TEST_F(Figure1Mp, PromoteSoundMessagesRetestsOnlyFreshWhileMPlusIsUnchanged) {
+  CountingMatcher counting(matcher_);
+  MaximalMessageSet messages;
+  MatchSet matched;
+  std::vector<EntityPair> new_matches;
+  // An old message that failed at the previous fixpoint (score -2).
+  messages.Insert({P(fig_.a1, fig_.a2), P(fig_.b2, fig_.b3)});
+  EXPECT_EQ(PromoteSoundMessages(counting, messages, 0, matched, new_matches),
+            0u);
+  EXPECT_EQ(counting.score_delta_calls, 1u);
+
+  // A fresh, still-failing message while M+ is unchanged: only it is tested.
+  counting.score_delta_calls = 0;
+  uint32_t first_fresh = messages.next_id();
+  messages.Insert({P(fig_.b1, fig_.b3), P(fig_.c1, fig_.c3)});
+  EXPECT_EQ(PromoteSoundMessages(counting, messages, first_fresh, matched,
+                                 new_matches),
+            0u);
+  EXPECT_EQ(counting.score_delta_calls, 1u);
+
+  // M+ grew: every live message is re-tested, and both still fail.
+  counting.score_delta_calls = 0;
+  matched.Insert(P(fig_.c1, fig_.c2));
+  new_matches = {P(fig_.c1, fig_.c2)};
+  EXPECT_EQ(PromoteSoundMessages(counting, messages, messages.next_id(),
+                                 matched, new_matches),
+            0u);
+  EXPECT_EQ(counting.score_delta_calls, 2u);
+  EXPECT_EQ(messages.num_live(), 2u);
+}
+
+TEST_F(Figure1Mp, PromoteSoundMessagesCompletesTheMergedChain) {
+  // C1's and C2's messages merge into the chain {(a1,a2),(b2,b3),(c2,c3)},
+  // which scores +1 and passes trigger (b).
+  CountingMatcher counting(matcher_);
+  MaximalMessageSet messages;
+  MatchSet matched;
+  std::vector<EntityPair> new_matches;
+  messages.Insert({P(fig_.a1, fig_.a2), P(fig_.b2, fig_.b3)});
+  EXPECT_EQ(PromoteSoundMessages(counting, messages, 0, matched, new_matches),
+            0u);
+  const uint32_t first_fresh = messages.next_id();
+  messages.Insert({P(fig_.b2, fig_.b3), P(fig_.c2, fig_.c3)});
+  EXPECT_EQ(PromoteSoundMessages(counting, messages, first_fresh, matched,
+                                 new_matches),
+            1u);
+  EXPECT_EQ(matched.size(), 3u);
+  EXPECT_EQ(new_matches.size(), 3u);
+  EXPECT_EQ(messages.num_live(), 0u);
 }
 
 // ------------------------------------------------------------------- MMP --

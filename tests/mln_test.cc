@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
@@ -247,6 +249,116 @@ TEST_P(MapSolverProperty, GraphCutEqualsBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, MapSolverProperty,
                          ::testing::Range<uint64_t>(0, 40));
+
+// --------------------------------------------- Per-thread model reuse --
+// MlnMatcher keeps the last induced model per thread; reuse must never show
+// in an answer. Every answer below is checked against BruteForceMap, which
+// builds its own model from scratch.
+
+/// A random neighborhood: each entity of `d` with probability 0.7.
+std::vector<EntityId> RandomNeighborhood(const data::Dataset& d, Rng& rng) {
+  std::vector<EntityId> out;
+  for (size_t e = 0; e < d.num_entities(); ++e) {
+    if (rng.NextBernoulli(0.7)) out.push_back(static_cast<EntityId>(e));
+  }
+  return out;
+}
+
+/// Checks matcher.Match and a conditioned re-run on `entities` against
+/// brute force over `d` with `weights`.
+void ExpectFreshAnswers(const MlnMatcher& matcher, const data::Dataset& d,
+                        const MlnWeights& weights,
+                        const std::vector<EntityId>& entities,
+                        const MatchSet& positive, const MatchSet& negative) {
+  const PairGraph graph = PairGraph::Build(d);
+  const std::unordered_set<EntityId> members(entities.begin(), entities.end());
+  EXPECT_EQ(matcher.Match(entities, positive, negative).SortedPairs(),
+            BruteForceMap(d, graph, weights, members, positive, negative)
+                .SortedPairs());
+  for (const auto& cp : d.candidate_pairs()) {
+    if (!members.count(cp.pair.a) || !members.count(cp.pair.b) ||
+        positive.Contains(cp.pair) || negative.Contains(cp.pair)) {
+      continue;
+    }
+    MatchSet with_p = positive;
+    with_p.Insert(cp.pair);
+    EXPECT_EQ(matcher.MatchConditioned(entities, with_p, negative)
+                  .SortedPairs(),
+              BruteForceMap(d, graph, weights, members, with_p, negative)
+                  .SortedPairs());
+    break;  // One hypothesis per call site keeps the interleaving tight.
+  }
+}
+
+class ModelReuseProperty : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ModelReuseProperty, AlternatingNeighborhoodsMatchBruteForce) {
+  RandomInstance instance(GetParam());
+  const data::Dataset& d = instance.dataset();
+  MlnMatcher matcher(d, instance.weights());
+  const std::vector<EntityId> a = RandomNeighborhood(d, instance.rng());
+  const std::vector<EntityId> b = RandomNeighborhood(d, instance.rng());
+  MatchSet positive, negative;
+  for (const auto& cp : d.candidate_pairs()) {
+    const double roll = instance.rng().NextDouble();
+    if (roll < 0.1) {
+      positive.Insert(cp.pair);
+    } else if (roll < 0.2) {
+      negative.Insert(cp.pair);
+    }
+  }
+  for (int round = 0; round < 3; ++round) {
+    ExpectFreshAnswers(matcher, d, instance.weights(), a, positive, negative);
+    ExpectFreshAnswers(matcher, d, instance.weights(), b, MatchSet(),
+                       negative);
+    ExpectFreshAnswers(matcher, d, instance.weights(), a, MatchSet(),
+                       MatchSet());
+  }
+}
+
+TEST_P(ModelReuseProperty, MatchersOverDifferentDatasetsShareNoModel) {
+  // Same entity-id list, different datasets: a cache keyed by the entity
+  // list alone would answer one matcher with the other's model.
+  RandomInstance first(GetParam());
+  RandomInstance second(GetParam() + 1000);
+  const size_t n = std::min(first.dataset().num_entities(),
+                            second.dataset().num_entities());
+  std::vector<EntityId> entities(n);
+  for (size_t i = 0; i < n; ++i) entities[i] = static_cast<EntityId>(i);
+  MlnMatcher m1(first.dataset(), first.weights());
+  MlnMatcher m2(second.dataset(), second.weights());
+  for (int round = 0; round < 3; ++round) {
+    ExpectFreshAnswers(m1, first.dataset(), first.weights(), entities,
+                       MatchSet(), MatchSet());
+    ExpectFreshAnswers(m2, second.dataset(), second.weights(), entities,
+                       MatchSet(), MatchSet());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, ModelReuseProperty,
+                         ::testing::Range<uint64_t>(0, 20));
+
+TEST(ModelReuseTest, RecreatedMatcherAtTheSameAddressGetsItsOwnModel) {
+  // A matcher created where a destroyed one lived, over the same dataset
+  // but different weights: a cache keyed by address would reuse the old
+  // model's induced unary weights.
+  data::Figure1 fig = data::MakeFigure1();
+  const std::vector<EntityId> all = AllEntityVector(*fig.dataset);
+  MlnWeights flat = MlnWeights::Figure1Demo();
+  flat.w_coauthor = 0.0;  // No coauthor support: nothing matches.
+  std::optional<MlnMatcher> slot;
+  slot.emplace(*fig.dataset, MlnWeights::Figure1Demo());
+  EXPECT_EQ(slot->Match(all).size(), 5u);
+  const MlnMatcher* address = &*slot;
+  slot.reset();
+  slot.emplace(*fig.dataset, flat);
+  ASSERT_EQ(&*slot, address);
+  EXPECT_TRUE(slot->Match(all).empty());
+  EXPECT_TRUE(slot->MatchConditioned(all, MatchSet(), MatchSet()).empty());
+  slot.reset();
+  slot.emplace(*fig.dataset, MlnWeights::Figure1Demo());
+  EXPECT_EQ(slot->Match(all).size(), 5u);
+}
 
 // ------------------------------------------------------------ MlnMatcher --
 

@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "core/match_set.h"
+#include "core/maximal_message.h"
 #include "core/message_passing.h"
+#include "eval/experiment.h"
 #include "eval/upper_bound.h"
 #include "mln/mln_matcher.h"
 #include "rules/rules_matcher.h"
@@ -125,6 +127,106 @@ TEST_P(MatcherProperty, RulesMonotoneInEntitiesAndEvidence) {
   }
   EXPECT_TRUE(
       matcher.Match(all, small).IsSubsetOf(matcher.Match(all, large)));
+}
+
+// ------------------------------------- Evidence locality (core/matcher.h) --
+// Restricting evidence to C x C never changes an answer: COMPUTEMAXIMAL
+// hands its conditioned runs that restriction instead of a copy of M+.
+
+/// The pairs of `set` with both endpoints in `members` (sorted).
+MatchSet RestrictTo(const MatchSet& set, const std::vector<EntityId>& members) {
+  const auto in = [&](EntityId e) {
+    return std::binary_search(members.begin(), members.end(), e);
+  };
+  MatchSet out;
+  for (const EntityPair& p : set.SortedPairs()) {
+    if (in(p.a) && in(p.b)) out.Insert(p);
+  }
+  return out;
+}
+
+/// A neighborhood C (sorted) with evidence V+ / V-.
+struct LocalityCase {
+  std::vector<EntityId> members;
+  MatchSet positive;
+  MatchSet negative;
+};
+
+/// A random C holding the first author ref and the last entity, a paper,
+/// plus random evidence over the candidate pairs and two non-candidate
+/// positive pairs: (first ref, paper) inside C x C, and one with an
+/// endpoint outside C when C is not everything.
+LocalityCase MakeLocalityCase(RandomInstance& instance) {
+  LocalityCase c;
+  const std::vector<EntityId> all = instance.AllEntities();
+  for (EntityId e : all) {
+    if (e == all.front() || e == all.back() ||
+        instance.rng().NextBernoulli(0.6)) {
+      c.members.push_back(e);
+    }
+  }
+  RandomEvidence(instance, &c.positive, &c.negative);
+  c.positive.Insert(EntityPair(all.front(), all.back()));
+  for (EntityId e : all) {
+    if (!std::binary_search(c.members.begin(), c.members.end(), e)) {
+      c.positive.Insert(EntityPair(all.front(), e));
+      break;
+    }
+  }
+  return c;
+}
+
+void ExpectEvidenceLocal(const core::Matcher& matcher, const LocalityCase& c) {
+  const MatchSet positive = RestrictTo(c.positive, c.members);
+  const MatchSet negative = RestrictTo(c.negative, c.members);
+  EXPECT_EQ(matcher.Match(c.members, c.positive, c.negative),
+            matcher.Match(c.members, positive, negative));
+  EXPECT_EQ(matcher.MatchConditioned(c.members, c.positive, c.negative),
+            matcher.MatchConditioned(c.members, positive, negative));
+}
+
+TEST_P(MatcherProperty, MlnEvidenceLocal) {
+  RandomInstance instance(GetParam());
+  mln::MlnMatcher matcher(instance.dataset(), instance.weights());
+  ExpectEvidenceLocal(matcher, MakeLocalityCase(instance));
+}
+
+TEST_P(MatcherProperty, RulesEvidenceLocal) {
+  // With closure on, the non-candidate in-C evidence pair joins clusters.
+  RandomInstance instance(GetParam());
+  const LocalityCase c = MakeLocalityCase(instance);
+  for (const bool closure : {false, true}) {
+    rules::RulesConfig config;
+    config.transitive_closure = closure;
+    rules::RulesMatcher matcher(instance.dataset(), config);
+    const EntityPair in_c(c.members.front(), c.members.back());
+    EXPECT_FALSE(instance.dataset().FindCandidatePair(in_c.a, in_c.b));
+    EXPECT_TRUE(matcher.Match(c.members, c.positive, c.negative)
+                    .Contains(in_c));
+    ExpectEvidenceLocal(matcher, c);
+  }
+}
+
+TEST_P(MatcherProperty, CostModelEvidenceLocal) {
+  RandomInstance instance(GetParam());
+  mln::MlnMatcher inner(instance.dataset(), instance.weights());
+  eval::CostModelMatcher matcher(inner, /*cost_scale_us=*/0.01);
+  ExpectEvidenceLocal(matcher, MakeLocalityCase(instance));
+}
+
+TEST_P(MatcherProperty, ComputeMaximalEvidenceLocal) {
+  RandomInstance instance(GetParam());
+  const LocalityCase c = MakeLocalityCase(instance);
+  const MatchSet local = RestrictTo(c.positive, c.members);
+  mln::MlnMatcher mln_matcher(instance.dataset(), instance.weights());
+  rules::RulesMatcher rules_matcher(instance.dataset());
+  for (const core::Matcher* matcher :
+       {static_cast<const core::Matcher*>(&mln_matcher),
+        static_cast<const core::Matcher*>(&rules_matcher)}) {
+    const MatchSet base = matcher->Match(c.members, c.positive);
+    EXPECT_EQ(core::ComputeMaximal(*matcher, c.members, c.positive, base),
+              core::ComputeMaximal(*matcher, c.members, local, base));
+  }
 }
 
 // --------------------------------------------- Supermodularity (Def. 6) --
