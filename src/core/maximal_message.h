@@ -60,7 +60,8 @@ class MaximalMessageSet {
   /// FindIntersecting. This method is for discarding them afterwards.
   void RemoveMessage(uint32_t id);
 
-  /// Ids of live messages holding any of `pairs` (sorted, unique).
+  /// Ids, ascending and unique, of the live messages holding any of
+  /// `pairs`.
   std::vector<uint32_t> FindIntersecting(
       std::span<const data::EntityPair> pairs) const;
 
