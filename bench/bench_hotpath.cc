@@ -1,8 +1,8 @@
 // Hot-path microbench: the per-record tokenise -> MinHash -> score chain,
 // legacy layout vs the arena/SIMD overhaul, plus the per-neighborhood MMP
-// loop.
+// loop and the MLN model build of a streamed neighborhood.
 //
-// Four tables, one per pipeline stage, each comparing the historical
+// Five tables, one per pipeline stage, each comparing the historical
 // implementation (heap token strings, per-call scalar loops, a copy of M+
 // per hypothesis — replicated inline below so the baseline survives the
 // refactor it measures) against the current hot path:
@@ -15,7 +15,10 @@
 //    (scores/s);
 //  * mmp      — sequential MMP (Algorithm 3) with the historical
 //    COMPUTEMAXIMAL (one copy of M+ per hypothesis) and full-sweep step 7
-//    vs core::RunMmp, same MLN matcher (seconds per run, speedup).
+//    vs core::RunMmp, same MLN matcher (seconds per run, speedup);
+//  * induced_model — the binary-search model builder vs
+//    mln::BuildInducedModel over every neighborhood of a streamed cover
+//    (seconds per sweep, speedup).
 //
 // Every comparison CEM_CHECKs bit-identical results before it reports a
 // speedup — the overhaul's contract is "same answer, faster"; for MMP that
@@ -30,6 +33,8 @@
 // of the scale and gate via bench_diff on any host. The MMP corpus is built
 // with canopy blocking explicitly (never via CEM_BLOCKING), and its
 // counter_mmp_* / counter_mln_* values pin the work message passing does.
+// The streamed cover comes from a fixed arrival order, so the
+// counter_mln_induced_* sums are a pure function of the scale too.
 
 #include <algorithm>
 #include <cstdint>
@@ -56,7 +61,9 @@
 #include "data/entity.h"
 #include "eval/experiment.h"
 #include "graph/connected_components.h"
+#include "mln/map_inference.h"
 #include "mln/mln_matcher.h"
+#include "stream/incremental_cover.h"
 #include "text/jaccard.h"
 #include "text/jaro_winkler.h"
 #include "text/token_arena.h"
@@ -254,6 +261,43 @@ core::MpResult LegacyRunMmp(const core::ProbabilisticMatcher& matcher,
     }
   }
   return result;
+}
+
+/// The binary-search mln::BuildInducedModel, verbatim: every membership
+/// test is a std::binary_search over the sorted members.
+mln::InducedModel LegacyBuildInducedModel(
+    const data::Dataset& dataset, const mln::PairGraph& graph,
+    const mln::MlnWeights& weights,
+    const std::vector<data::EntityId>& members) {
+  const auto in_members = [&](data::EntityId e) {
+    return std::binary_search(members.begin(), members.end(), e);
+  };
+  mln::InducedModel model;
+  for (data::EntityId e : members) {
+    for (data::PairId id : dataset.PairsOfEntity(e)) {
+      const data::EntityPair p = graph.node(id).pair;
+      if (p.a == e && in_members(p.b)) model.vars.push_back(id);
+    }
+  }
+  std::sort(model.vars.begin(), model.vars.end());
+  model.theta.reserve(model.vars.size());
+  for (size_t i = 0; i < model.vars.size(); ++i) {
+    const mln::PairGraph::Node& node = graph.node(model.vars[i]);
+    double theta = weights.SimWeight(node.level);
+    for (data::EntityId c : node.shared_coauthors) {
+      if (in_members(c)) theta += weights.w_coauthor;
+    }
+    model.theta.push_back(theta);
+    for (data::PairId q : node.links) {
+      if (q <= model.vars[i]) continue;
+      const auto it = std::lower_bound(model.vars.begin(), model.vars.end(), q);
+      if (it != model.vars.end() && *it == q) {
+        model.links.emplace_back(static_cast<int>(i),
+                                 static_cast<int>(it - model.vars.begin()));
+      }
+    }
+  }
+  return model;
 }
 
 // --- synthetic workload -----------------------------------------------------
@@ -608,6 +652,68 @@ int main() {
                 static_cast<double>(mln_matcher.num_runs()));
   report.Metric("counter_mln_free_variables",
                 static_cast<double>(mln_matcher.total_free_variables()));
+
+  // --- induced_model --------------------------------------------------------
+  // The model build of a streaming drain evaluation: the same HEPTH-like
+  // corpus streams through stream::IncrementalCover in a fixed shuffled
+  // arrival order, then every neighborhood of the streamed cover gets its
+  // induced model from both builders. The last pass's models are compared.
+  constexpr int kInducedReps = 5;
+  stream::IncrementalCover icover(*hepth.dataset, {}, ctx);
+  std::vector<data::EntityId> arrival = hepth.dataset->author_refs();
+  Rng arrival_rng(0x1dcedb0117ULL);
+  arrival_rng.Shuffle(arrival);
+  for (data::EntityId ref : arrival) icover.Insert(ref);
+  const core::Cover& streamed = icover.cover();
+  const mln::PairGraph& graph = mln_matcher.pair_graph();
+  const mln::MlnWeights& weights = mln_matcher.weights();
+  std::vector<mln::InducedModel> legacy_models(streamed.size());
+  const double legacy_build_s = TimeBest(kInducedReps, [&] {
+    for (size_t n = 0; n < streamed.size(); ++n) {
+      legacy_models[n] = LegacyBuildInducedModel(
+          *hepth.dataset, graph, weights, streamed.neighborhood(n).entities);
+    }
+  });
+  std::vector<mln::InducedModel> models(streamed.size());
+  const double build_s = TimeBest(kInducedReps, [&] {
+    for (size_t n = 0; n < streamed.size(); ++n) {
+      models[n] = mln::BuildInducedModel(*hepth.dataset, graph, weights,
+                                         streamed.neighborhood(n).entities);
+    }
+  });
+  size_t induced_vars = 0;
+  size_t induced_links = 0;
+  for (size_t n = 0; n < streamed.size(); ++n) {
+    CEM_CHECK(models[n].vars == legacy_models[n].vars &&
+              models[n].theta == legacy_models[n].theta &&
+              models[n].links == legacy_models[n].links)
+        << "BuildInducedModel diverged from the binary-search builder on "
+           "neighborhood "
+        << n;
+    induced_vars += models[n].vars.size();
+    induced_links += models[n].links.size();
+  }
+
+  TableWriter induced_table(
+      {"builder", "neighborhoods", "vars", "links", "s/sweep", "speedup"});
+  const auto induced_row = [&](const std::string& name, double seconds) {
+    induced_table.AddRow({name, std::to_string(streamed.size()),
+                          std::to_string(induced_vars),
+                          std::to_string(induced_links),
+                          TableWriter::Num(seconds, 5),
+                          TableWriter::Num(legacy_build_s / seconds, 2)});
+  };
+  std::printf("\nStreamed cover: %zu live refs, %zu neighborhoods, max size "
+              "%zu\n",
+              icover.num_live(), streamed.size(),
+              icover.max_neighborhood_size());
+  induced_row("legacy: binary search", legacy_build_s);
+  induced_row("BuildInducedModel", build_s);
+  report.Table("induced_model", induced_table);
+  report.Metric("speedup_induced_model", legacy_build_s / build_s);
+  report.Metric("counter_mln_induced_vars", static_cast<double>(induced_vars));
+  report.Metric("counter_mln_induced_links",
+                static_cast<double>(induced_links));
 
   std::printf(
       "\nNote: every row above was checked bit-identical to the legacy\n"
