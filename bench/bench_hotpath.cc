@@ -16,7 +16,7 @@
 //  * mmp      — sequential MMP (Algorithm 3) with the historical
 //    COMPUTEMAXIMAL (one copy of M+ per hypothesis) and full-sweep step 7
 //    vs core::RunMmp, same MLN matcher (seconds per run, speedup);
-//  * induced_model — the binary-search model builder vs
+//  * induced_model — the binary-search model builder vs the bitmap
 //    mln::BuildInducedModel over every neighborhood of a streamed cover
 //    (seconds per sweep, speedup).
 //
@@ -263,8 +263,9 @@ core::MpResult LegacyRunMmp(const core::ProbabilisticMatcher& matcher,
   return result;
 }
 
-/// The binary-search mln::BuildInducedModel, verbatim: every membership
-/// test is a std::binary_search over the sorted members.
+/// The historical mln::BuildInducedModel, verbatim from the pre-bitmap
+/// map_inference.cc: every membership test is a std::binary_search over
+/// the sorted members, and every link is looked up in the variables.
 mln::InducedModel LegacyBuildInducedModel(
     const data::Dataset& dataset, const mln::PairGraph& graph,
     const mln::MlnWeights& weights,
@@ -657,7 +658,9 @@ int main() {
   // The model build of a streaming drain evaluation: the same HEPTH-like
   // corpus streams through stream::IncrementalCover in a fixed shuffled
   // arrival order, then every neighborhood of the streamed cover gets its
-  // induced model from both builders. The last pass's models are compared.
+  // induced model from both builders. The last pass's models are compared,
+  // and each variable count must equal the cover's maintained inside-pair
+  // count, which the drain reports as pairs rescored.
   constexpr int kInducedReps = 5;
   stream::IncrementalCover icover(*hepth.dataset, {}, ctx);
   std::vector<data::EntityId> arrival = hepth.dataset->author_refs();
@@ -688,6 +691,11 @@ int main() {
               models[n].theta == legacy_models[n].theta &&
               models[n].links == legacy_models[n].links)
         << "BuildInducedModel diverged from the binary-search builder on "
+           "neighborhood "
+        << n;
+    CEM_CHECK(icover.inside_pairs(static_cast<uint32_t>(n)) ==
+              legacy_models[n].vars.size())
+        << "IncrementalCover::inside_pairs diverged from the model on "
            "neighborhood "
         << n;
     induced_vars += models[n].vars.size();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 
 #include "graph/max_flow.h"
 #include "util/logging.h"
@@ -42,8 +43,28 @@ InducedModel BuildInducedModel(const data::Dataset& dataset,
                                const PairGraph& graph,
                                const MlnWeights& weights,
                                const std::vector<data::EntityId>& members) {
-  const auto in_members = [&](data::EntityId e) {
-    return std::binary_search(members.begin(), members.end(), e);
+  // A duplicate member would emit its pairs twice.
+  CEM_DCHECK(std::adjacent_find(members.begin(), members.end(),
+                                std::greater_equal<>()) == members.end() &&
+             (members.empty() || members.back() < dataset.num_entities()))
+      << "members must be sorted, duplicate-free dataset entities";
+  // Membership of C as one bit per dataset entity: set for the members
+  // here and cleared by the guard on every way out, so the thread's bitmap
+  // is all-zero between calls, whatever dataset the next call brings.
+  thread_local std::vector<uint64_t> member_bits;
+  const size_t words = (dataset.num_entities() + 63) / 64;
+  if (member_bits.size() < words) member_bits.resize(words, 0);
+  struct ClearOnExit {
+    const std::vector<data::EntityId>& members;
+    ~ClearOnExit() {
+      for (data::EntityId e : members) member_bits[e / 64] = 0;
+    }
+  } clear_on_exit{members};
+  for (data::EntityId e : members) {
+    member_bits[e / 64] |= uint64_t{1} << (e % 64);
+  }
+  const auto in_members = [](data::EntityId e) {
+    return ((member_bits[e / 64] >> (e % 64)) & 1) != 0;
   };
   InducedModel model;
   // Candidate pairs fully inside C, each once: a pair is seen from both
@@ -64,15 +85,18 @@ InducedModel BuildInducedModel(const data::Dataset& dataset,
       if (in_members(c)) theta += weights.w_coauthor;
     }
     model.theta.push_back(theta);
-    // A link {p, q} is inside C iff q is a variable too. Positions follow
-    // PairId order, so recording it from the smaller id records it once.
+    // A link {p, q} is inside C iff q is a variable too, i.e. iff both of
+    // q's endpoints are members. Positions follow PairId order, so
+    // recording it from the smaller id records it once.
     for (data::PairId q : node.links) {
       if (q <= model.vars[i]) continue;
-      const auto it = std::lower_bound(model.vars.begin(), model.vars.end(), q);
-      if (it != model.vars.end() && *it == q) {
-        model.links.emplace_back(static_cast<int>(i),
-                                 static_cast<int>(it - model.vars.begin()));
-      }
+      const data::EntityPair qp = graph.node(q).pair;
+      if (!in_members(qp.a) || !in_members(qp.b)) continue;
+      const auto it = std::lower_bound(model.vars.begin() + i + 1,
+                                       model.vars.end(), q);
+      CEM_DCHECK(it != model.vars.end() && *it == q);
+      model.links.emplace_back(static_cast<int>(i),
+                               static_cast<int>(it - model.vars.begin()));
     }
   }
   return model;

@@ -41,6 +41,8 @@ void IncrementalCover::AddMember(uint32_t n, data::EntityId e, bool core,
   // the neighborhood is not dirtied by the upgrade alone.
   const bool newly_core = core && core_.Add(e, n);
   if (full_.Add(e, n)) {
+    // Each inside pair is counted once: when its later endpoint joins.
+    inside_pairs_[n] += PairsToMembers(n, e);
     cover_.AddEntityTo(n, e);
     max_neighborhood_size_ = std::max(max_neighborhood_size_,
                                       cover_.neighborhood(n).entities.size());
@@ -56,6 +58,17 @@ void IncrementalCover::AddMember(uint32_t n, data::EntityId e, bool core,
       if (is_live(c)) AddMember(n, c, /*core=*/false, dirty);
     }
   }
+}
+
+size_t IncrementalCover::PairsToMembers(uint32_t n, data::EntityId e) const {
+  const std::vector<data::EntityId>& members = cover_.neighborhood(n).entities;
+  size_t count = 0;
+  for (data::PairId id : dataset_.PairsOfEntity(e)) {
+    const data::EntityPair& p = dataset_.candidate_pair(id).pair;
+    const data::EntityId other = p.a == e ? p.b : p.a;
+    if (std::binary_search(members.begin(), members.end(), other)) ++count;
+  }
+  return count;
 }
 
 Status IncrementalCover::RestoreState(IncrementalCoverState state,
@@ -120,6 +133,14 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
   for (std::vector<data::EntityId>& members : state.neighborhoods) {
     cover_.Add(std::move(members));
   }
+  inside_pairs_.assign(cover_.size(), 0);
+  for (uint32_t i = 0; i < cover_.size(); ++i) {
+    size_t from_both_ends = 0;
+    for (data::EntityId e : cover_.neighborhood(i).entities) {
+      from_both_ends += PairsToMembers(i, e);
+    }
+    inside_pairs_[i] = from_both_ends / 2;
+  }
   core_ = core::CoverMembership::FromEntries(std::move(state.core_entries));
   full_ = core::CoverMembership::FromEntries(std::move(state.full_entries));
   max_neighborhood_size_ = cover_.MaxNeighborhoodSize();
@@ -171,6 +192,7 @@ std::vector<uint32_t> IncrementalCover::Insert(
     // the streamed cover may hold more (overlapping) neighborhoods than a
     // batch build, which affects work, never totality.
     const uint32_t n = static_cast<uint32_t>(cover_.Add({}));
+    inside_pairs_.push_back(0);
     seed_neighborhood_[slot] = n;
     ++stats_.seeds_created;
     AddMember(n, ref, /*core=*/true, dirty);

@@ -144,6 +144,12 @@ class IncrementalCover {
   /// per-insert drain never rescans the whole cover for its safety cap.
   size_t max_neighborhood_size() const { return max_neighborhood_size_; }
 
+  /// Candidate pairs with both endpoints in neighborhood `n` — what one
+  /// re-evaluation of `n` presents to the matcher. Maintained as members
+  /// join (neighborhoods only grow, so a joining member adds its pairs to
+  /// members already present), so the drain reads it in O(1).
+  size_t inside_pairs(uint32_t n) const { return inside_pairs_[n]; }
+
   /// Sorted ids of the neighborhoods containing `e` (boundary members
   /// included) — the streaming counterpart of core::NeighborIndex, used by
   /// the matcher to re-activate neighborhoods affected by a new match.
@@ -208,7 +214,8 @@ class IncrementalCover {
   /// installed from state.lsh_buckets when they match this cover's shard
   /// count, else rebuilt from the signatures in parallel on `ctx` — either
   /// way every subsequent Insert() behaves bit-identically to the original
-  /// uninterrupted run. Returns InvalidArgument (state untouched aside
+  /// uninterrupted run. inside_pairs() is derived state, recounted from
+  /// the restored cover. Returns InvalidArgument (state untouched aside
   /// from moves) when the image is structurally inconsistent.
   Status RestoreState(IncrementalCoverState state,
                       const ExecutionContext& ctx);
@@ -219,6 +226,9 @@ class IncrementalCover {
   /// ExpandCoauthorBoundary. Records changed neighborhoods in `dirty`.
   void AddMember(uint32_t n, data::EntityId e, bool core,
                  std::vector<uint32_t>& dirty);
+
+  /// Candidate pairs of `e` whose other endpoint is a member of `n`.
+  size_t PairsToMembers(uint32_t n, data::EntityId e) const;
 
   const data::Dataset& dataset_;
   IncrementalCoverOptions options_;
@@ -239,6 +249,8 @@ class IncrementalCover {
   /// slot -> id of the neighborhood it seeds, or kNoSeed.
   std::vector<uint32_t> seed_neighborhood_;
   size_t max_neighborhood_size_ = 0;
+  /// Neighborhood id -> candidate pairs inside it (see inside_pairs()).
+  std::vector<size_t> inside_pairs_;
   IngestStats stats_;
 };
 

@@ -111,23 +111,6 @@ Status StreamingMatcher::RestoreState(StreamingMatcherState state) {
   return OkStatus();
 }
 
-size_t StreamingMatcher::PairsInside(uint32_t n) const {
-  const data::Dataset& dataset = matcher_.dataset();
-  const std::vector<data::EntityId>& entities =
-      icover_.cover().neighborhood(n).entities;
-  size_t inside = 0;
-  for (data::EntityId e : entities) {
-    for (data::PairId id : dataset.PairsOfEntity(e)) {
-      const data::EntityPair& p = dataset.candidate_pair(id).pair;
-      if (p.a == e &&
-          std::binary_search(entities.begin(), entities.end(), p.b)) {
-        ++inside;
-      }
-    }
-  }
-  return inside;
-}
-
 void StreamingMatcher::Drain() {
   // Always-on drain-latency histogram (the pre-serve p50/p99 story) plus a
   // flame-chart span when tracing is enabled.
@@ -158,7 +141,7 @@ void StreamingMatcher::Drain() {
     ++evaluations;
     ++matching_stats_.neighborhood_evaluations;
     ++matching_stats_.matcher_calls;
-    matching_stats_.pairs_rescored += PairsInside(c);
+    matching_stats_.pairs_rescored += icover_.inside_pairs(c);
     const core::MatchSet mc =
         matcher_.Match(cover.neighborhood(c).entities, matches_);
     const std::vector<data::EntityPair> new_matches =

@@ -204,9 +204,6 @@ class StreamingMatcher {
   /// count crossed the next metrics_every_inserts boundary.
   void MaybePublishMetrics();
 
-  /// Candidate pairs fully inside neighborhood `n` (re-scoring work).
-  size_t PairsInside(uint32_t n) const;
-
   const core::Matcher& matcher_;
   StreamingOptions options_;
   IncrementalCover icover_;
