@@ -1,6 +1,8 @@
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -359,6 +361,148 @@ TEST(ModelReuseTest, RecreatedMatcherAtTheSameAddressGetsItsOwnModel) {
   slot.emplace(*fig.dataset, MlnWeights::Figure1Demo());
   EXPECT_EQ(slot->Match(all).size(), 5u);
 }
+
+// ------------------------------------------- Membership bitmap hygiene --
+// BuildInducedModel marks C's members in a per-thread bitmap and must leave
+// it all-zero: a bit left over from an earlier call would make that call's
+// members look like members of the next C. Every build below follows the
+// previous one on this thread and is compared with a reference builder
+// that binary-searches the sorted members.
+
+InducedModel ReferenceModel(const data::Dataset& d, const PairGraph& graph,
+                            const MlnWeights& weights,
+                            const std::vector<EntityId>& members) {
+  const auto in = [&](EntityId e) {
+    return std::binary_search(members.begin(), members.end(), e);
+  };
+  InducedModel model;
+  for (data::PairId id = 0; id < d.num_candidate_pairs(); ++id) {
+    const EntityPair p = graph.node(id).pair;
+    if (in(p.a) && in(p.b)) model.vars.push_back(id);
+  }
+  for (size_t i = 0; i < model.vars.size(); ++i) {
+    const PairGraph::Node& node = graph.node(model.vars[i]);
+    double theta = weights.SimWeight(node.level);
+    for (EntityId c : node.shared_coauthors) {
+      if (in(c)) theta += weights.w_coauthor;
+    }
+    model.theta.push_back(theta);
+    for (data::PairId q : node.links) {
+      const auto it = std::lower_bound(model.vars.begin(), model.vars.end(), q);
+      if (q > model.vars[i] && it != model.vars.end() && *it == q) {
+        model.links.emplace_back(static_cast<int>(i),
+                                 static_cast<int>(it - model.vars.begin()));
+      }
+    }
+  }
+  return model;
+}
+
+/// One model-graph of a dataset, built once per test.
+struct ModelInputs {
+  std::unique_ptr<data::Dataset> dataset;
+  PairGraph graph;
+  MlnWeights weights = MlnWeights::PaperLearned();
+
+  explicit ModelInputs(double scale, uint64_t seed) {
+    data::BibConfig config = data::BibConfig::DblpLike(scale);
+    config.seed = seed;
+    dataset = data::GenerateBibDataset(config);
+    graph = PairGraph::Build(*dataset);
+  }
+
+  /// BuildInducedModel on `members` must equal the reference builder.
+  void ExpectBuildMatchesReference(const std::vector<EntityId>& members,
+                                   const std::string& label) const {
+    const InducedModel got =
+        BuildInducedModel(*dataset, graph, weights, members);
+    const InducedModel want =
+        ReferenceModel(*dataset, graph, weights, members);
+    EXPECT_EQ(got.vars, want.vars) << label;
+    EXPECT_EQ(got.theta, want.theta) << label;
+    EXPECT_EQ(got.links, want.links) << label;
+  }
+
+  /// True if the entities of `stale` that exist in this dataset, left
+  /// marked beside `members`, would add variables to its model — i.e. the
+  /// build order under test can expose a stale bit at all.
+  bool StaleBitsWouldShow(const std::vector<EntityId>& members,
+                          const std::vector<EntityId>& stale) const {
+    std::vector<EntityId> marked;
+    std::set_union(members.begin(), members.end(), stale.begin(),
+                   stale.end(), std::back_inserter(marked));
+    marked.erase(std::lower_bound(marked.begin(), marked.end(),
+                                  dataset->num_entities()),
+                 marked.end());
+    return ReferenceModel(*dataset, graph, weights, marked).vars.size() >
+           ReferenceModel(*dataset, graph, weights, members).vars.size();
+  }
+};
+
+/// Sorted author references of `d`, every `stride`-th from `offset`.
+std::vector<EntityId> EveryNthRef(const data::Dataset& d, size_t offset,
+                                  size_t stride) {
+  std::vector<EntityId> refs = d.author_refs();
+  std::sort(refs.begin(), refs.end());
+  std::vector<EntityId> out;
+  for (size_t i = offset; i < refs.size(); i += stride) out.push_back(refs[i]);
+  return out;
+}
+
+TEST(MembershipBitmap, NeighborhoodThenSubsetThenDisjointLeavesNoStaleBits) {
+  const ModelInputs in(0.05, 7);
+  const std::vector<EntityId> refs = EveryNthRef(*in.dataset, 0, 1);
+  const std::vector<EntityId> full(refs.begin(),
+                                   refs.begin() + refs.size() / 2);
+  std::vector<EntityId> subset;
+  for (size_t i = 0; i < full.size(); i += 2) subset.push_back(full[i]);
+  const std::vector<EntityId> disjoint(refs.begin() + refs.size() / 2,
+                                       refs.end());
+  ASSERT_TRUE(in.StaleBitsWouldShow(subset, full));
+  ASSERT_TRUE(in.StaleBitsWouldShow(disjoint, subset));
+  ASSERT_TRUE(in.StaleBitsWouldShow(full, disjoint));
+  for (int round = 0; round < 2; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    in.ExpectBuildMatchesReference(full, label + ", neighborhood");
+    in.ExpectBuildMatchesReference(subset, label + ", strict subset");
+    in.ExpectBuildMatchesReference(disjoint, label + ", disjoint");
+  }
+}
+
+TEST(MembershipBitmap, DatasetsOfDifferentSizesLeaveNoStaleBits) {
+  // Large then small, small then large: the bitmap sized for one dataset
+  // serves the next, and grows (all-zero) when a larger one follows.
+  const ModelInputs small(0.03, 11);
+  const ModelInputs large(0.12, 12);
+  ASSERT_GT(large.dataset->num_entities(),
+            small.dataset->num_entities() + 64);
+  const std::vector<EntityId> small_all = EveryNthRef(*small.dataset, 0, 1);
+  const std::vector<EntityId> small_half = EveryNthRef(*small.dataset, 1, 2);
+  const std::vector<EntityId> large_all = EveryNthRef(*large.dataset, 0, 1);
+  const std::vector<EntityId> large_half = EveryNthRef(*large.dataset, 1, 2);
+  ASSERT_TRUE(small.StaleBitsWouldShow(small_half, large_all));
+  ASSERT_TRUE(large.StaleBitsWouldShow(large_half, small_all));
+  for (int round = 0; round < 2; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    large.ExpectBuildMatchesReference(large_all, label + ", large");
+    small.ExpectBuildMatchesReference(small_half, label + ", then small");
+    small.ExpectBuildMatchesReference(small_all, label + ", small");
+    large.ExpectBuildMatchesReference(large_half, label + ", then large");
+  }
+}
+
+#if !defined(NDEBUG) || defined(CEM_ENABLE_DCHECKS)
+TEST(MembershipBitmapDeathTest, DuplicateMembersFailTheDcheck) {
+  // A duplicate member would emit its pairs twice; builds that enable
+  // CEM_DCHECK reject it up front.
+  data::Figure1 fig = data::MakeFigure1();
+  const PairGraph graph = PairGraph::Build(*fig.dataset);
+  const std::vector<EntityId> members = {fig.a1, fig.a1, fig.a2};
+  EXPECT_DEATH(BuildInducedModel(*fig.dataset, graph,
+                                 MlnWeights::Figure1Demo(), members),
+               "sorted, duplicate-free");
+}
+#endif
 
 // ------------------------------------------------------------ MlnMatcher --
 

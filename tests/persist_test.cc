@@ -20,9 +20,11 @@
 #include "data/figure1.h"
 #include "mln/mln_matcher.h"
 #include "persist/format.h"
+#include "persist/recovery.h"
 #include "persist/snapshot.h"
 #include "persist/wal.h"
 #include "stream/streaming_matcher.h"
+#include "test_util.h"
 #include "text/token_index.h"
 #include "util/execution_context.h"
 #include "util/io.h"
@@ -479,6 +481,60 @@ TEST(SnapshotRobustness, ImplausibleInsertCountIsRejectedNotAllocated) {
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("implausible insert count"),
             std::string::npos);
+}
+
+// --- derived state ----------------------------------------------------------
+
+TEST(DerivedState, InsidePairCountsAreExactAfterRecoverAndStreamingOn) {
+  // Snapshots do not carry the cover's inside-pair counts; RestoreState
+  // recounts them from the restored cover. They must equal a brute-force
+  // count right after Recover(), with and without a WAL tail replayed on
+  // top of the snapshot, and after every chunk streamed on from there.
+  const auto dataset = MakeSmallBib(811);
+  const mln::MlnMatcher matcher(*dataset);
+  const std::vector<data::EntityId> refs = ShuffledRefs(*dataset, 19);
+  constexpr size_t kChunk = 8;
+  constexpr size_t kSnapshotEvery = 24;
+  const size_t snapshot_point =
+      (refs.size() / 2 / kSnapshotEvery) * kSnapshotEvery;
+  ASSERT_GT(snapshot_point, 0u);
+  for (const size_t tail_chunks : {size_t{0}, size_t{2}}) {
+    const std::string label = std::to_string(tail_chunks) + " tail chunks";
+    const std::string dir =
+        ScratchDir("inside_pairs_" + std::to_string(tail_chunks));
+    const size_t crash_point = snapshot_point + tail_chunks * kChunk;
+    {
+      persist::PersistentStreamingMatcher psm(matcher, {},
+                                              {dir, kSnapshotEvery, nullptr});
+      ASSERT_TRUE(psm.Start().ok());
+      for (size_t start = 0; start < crash_point; start += kChunk) {
+        ASSERT_TRUE(
+            psm.AddBatch({refs.begin() + start, refs.begin() + start + kChunk})
+                .ok());
+      }
+    }
+    persist::PersistentStreamingMatcher recovered(
+        matcher, {}, {dir, kSnapshotEvery, nullptr});
+    persist::RecoveryInfo info;
+    ASSERT_TRUE(recovered.Recover(&info).ok()) << label;
+    ASSERT_TRUE(info.used_snapshot) << label;
+    EXPECT_EQ(info.snapshot_inserts, snapshot_point) << label;
+    EXPECT_EQ(info.chunks_replayed, tail_chunks) << label;
+    EXPECT_EQ(testing_util::InsidePairMismatches(
+                  recovered.matcher().incremental_cover(), *dataset),
+              std::vector<uint32_t>{})
+        << label << ", after Recover()";
+    for (size_t start = recovered.num_live(); start < refs.size();
+         start += kChunk) {
+      const size_t end = std::min(refs.size(), start + kChunk);
+      ASSERT_TRUE(
+          recovered.AddBatch({refs.begin() + start, refs.begin() + end}).ok());
+      ASSERT_EQ(testing_util::InsidePairMismatches(
+                    recovered.matcher().incremental_cover(), *dataset),
+                std::vector<uint32_t>{})
+          << label << ", after " << end << " inserts";
+    }
+  }
 }
 
 // --- token index ------------------------------------------------------------

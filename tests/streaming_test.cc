@@ -25,6 +25,7 @@
 #include "mln/mln_matcher.h"
 #include "rules/rules_matcher.h"
 #include "stream/streaming_matcher.h"
+#include "test_util.h"
 #include "util/execution_context.h"
 #include "util/random.h"
 
@@ -224,6 +225,36 @@ TEST_P(StreamingEquivalence, CoverStaysTotalAtEveryPrefix) {
         EXPECT_TRUE(membership.Together(u, v))
             << "split live coauthor tuple (" << u << ", " << v << ") after "
             << added << " inserts";
+      }
+    }
+  }
+}
+
+TEST_P(StreamingEquivalence, InsidePairCountsAreExactAfterEveryChunk) {
+  // The drain reports pairs rescored from the cover's maintained
+  // inside-pair counts, so each must equal a brute-force count of the
+  // candidate pairs inside its neighborhood after every chunk, for any
+  // arrival order and chunk size.
+  const auto dataset = MakeSmallBib(GetParam());
+  const mln::MlnMatcher matcher(*dataset);
+  for (uint64_t order = 0; order < 2; ++order) {
+    std::vector<data::EntityId> refs = dataset->author_refs();
+    Rng rng(GetParam() * 17 + order);
+    rng.Shuffle(refs);
+    for (const size_t chunk : {size_t{1}, size_t{5}, size_t{64}}) {
+      StreamingMatcher streaming(matcher);
+      for (size_t start = 0; start < refs.size(); start += chunk) {
+        const size_t end = std::min(refs.size(), start + chunk);
+        if (chunk == 1) {
+          streaming.Add(refs[start]);
+        } else {
+          streaming.AddBatch({refs.begin() + start, refs.begin() + end});
+        }
+        ASSERT_EQ(testing_util::InsidePairMismatches(
+                      streaming.incremental_cover(), *dataset),
+                  std::vector<uint32_t>{})
+            << "order " << order << ", chunk " << chunk << ", after "
+            << end << " inserts";
       }
     }
   }

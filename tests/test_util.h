@@ -1,6 +1,7 @@
 #ifndef CEM_TESTS_TEST_UTIL_H_
 #define CEM_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -11,6 +12,7 @@
 #include "core/cover.h"
 #include "data/dataset.h"
 #include "mln/mln_program.h"
+#include "stream/incremental_cover.h"
 #include "util/random.h"
 
 namespace cem::testing_util {
@@ -103,6 +105,27 @@ class RandomInstance {
   std::unique_ptr<data::Dataset> dataset_;
   mln::MlnWeights weights_;
 };
+
+/// Neighborhoods of `icover` whose maintained inside_pairs() differs from
+/// a brute-force count of the dataset's candidate pairs with both
+/// endpoints inside (empty when every count is exact).
+inline std::vector<uint32_t> InsidePairMismatches(
+    const stream::IncrementalCover& icover, const data::Dataset& dataset) {
+  std::vector<uint32_t> mismatches;
+  for (uint32_t n = 0; n < icover.cover().size(); ++n) {
+    const std::vector<data::EntityId>& members =
+        icover.cover().neighborhood(n).entities;
+    const auto inside = [&](data::EntityId e) {
+      return std::binary_search(members.begin(), members.end(), e);
+    };
+    size_t count = 0;
+    for (const data::CandidatePair& cp : dataset.candidate_pairs()) {
+      if (inside(cp.pair.a) && inside(cp.pair.b)) ++count;
+    }
+    if (icover.inside_pairs(n) != count) mismatches.push_back(n);
+  }
+  return mismatches;
+}
 
 }  // namespace cem::testing_util
 
