@@ -6,8 +6,9 @@
 # under bench/baselines/) + a wall-time stage (informational by default,
 # gating under CEM_CI_GATE_WALL=1), an AddressSanitizer build re-running
 # the tier-1 suite, and a ThreadSanitizer build re-running the
-# concurrency-labeled suites. Run from anywhere; a fresh checkout passes
-# end-to-end using only the committed baselines.
+# concurrency-labeled suites, plus a build of the repository benchmark
+# (perfbench/) and its self-tests. Run from anywhere; a fresh checkout
+# passes end-to-end using only the committed baselines.
 #
 # Knobs:
 #   CEM_CI_SKIP_ASAN=1    skip the AddressSanitizer stage
@@ -29,6 +30,7 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-${REPO_ROOT}/build-ci}"
 ASAN_BUILD_DIR="${ASAN_BUILD_DIR:-${REPO_ROOT}/build-ci-asan}"
 TSAN_BUILD_DIR="${TSAN_BUILD_DIR:-${REPO_ROOT}/build-ci-tsan}"
+PERFBENCH_BUILD_DIR="${PERFBENCH_BUILD_DIR:-${REPO_ROOT}/build-ci-perfbench}"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 
 # Pick up ccache when available (the GitHub workflow restores its cache
@@ -68,6 +70,18 @@ echo "== ctest -L bench_smoke"
 ctest --test-dir "${BUILD_DIR}" -L bench_smoke \
   -E "bench_smoke_ablation_blocking|bench_smoke_streaming|bench_smoke_persist|bench_smoke_hotpath|bench_smoke_serve" \
   -j "${JOBS}" --output-on-failure
+
+echo "== repository benchmark build (perfbench/)"
+# perfbench/ builds the library from this checkout through its own
+# CMakeLists.txt, which nothing above exercises: without this stage a
+# library change that breaks the runner's build only shows when the
+# benchmark runs. Configured into its own build dir, so nothing under
+# perfbench/ is written.
+cmake -S "${REPO_ROOT}/perfbench" -B "${PERFBENCH_BUILD_DIR}" \
+  "${CMAKE_EXTRA_ARGS[@]}"
+cmake --build "${PERFBENCH_BUILD_DIR}" -j "${JOBS}" \
+  --target perfbench perfbench_selftest
+"${PERFBENCH_BUILD_DIR}/perfbench_selftest"
 
 echo "== bench regression gate (tracked counters, >15% slowdown fails)"
 BENCH_JSON_DIR="${BUILD_DIR}/bench-json"
