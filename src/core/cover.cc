@@ -59,15 +59,22 @@ double Cover::MeanNeighborhoodSize() const {
   return static_cast<double>(total) / neighborhoods_.size();
 }
 
+size_t Cover::ContainedPairs(const data::Dataset& dataset, size_t i) const {
+  const std::vector<data::EntityId>& members = neighborhoods_[i].entities;
+  size_t contained = 0;
+  for (data::EntityId e : members) {
+    for (data::PairId id : dataset.PairsOfEntity(e)) {
+      const data::EntityPair p = dataset.candidate_pair(id).pair;
+      if (p.a == e && ContainsSorted(members, p.b)) ++contained;
+    }
+  }
+  return contained;
+}
+
 size_t Cover::TotalContainedPairs(const data::Dataset& dataset) const {
   size_t total = 0;
-  for (const Neighborhood& n : neighborhoods_) {
-    for (data::EntityId e : n.entities) {
-      for (data::PairId id : dataset.PairsOfEntity(e)) {
-        const data::EntityPair p = dataset.candidate_pair(id).pair;
-        if (p.a == e && ContainsSorted(n.entities, p.b)) ++total;
-      }
-    }
+  for (size_t i = 0; i < neighborhoods_.size(); ++i) {
+    total += ContainedPairs(dataset, i);
   }
   return total;
 }

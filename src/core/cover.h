@@ -54,6 +54,9 @@ class Cover {
   /// Mean neighborhood size.
   double MeanNeighborhoodSize() const;
 
+  /// Candidate pairs with both endpoints in neighborhood `i`.
+  size_t ContainedPairs(const data::Dataset& dataset, size_t i) const;
+
   /// Total candidate pairs contained in some neighborhood, counted with
   /// multiplicity (the paper reports e.g. "13K neighborhoods containing a
   /// total of 1.3M entity pairs").

@@ -133,13 +133,9 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
   for (std::vector<data::EntityId>& members : state.neighborhoods) {
     cover_.Add(std::move(members));
   }
-  inside_pairs_.assign(cover_.size(), 0);
-  for (uint32_t i = 0; i < cover_.size(); ++i) {
-    size_t from_both_ends = 0;
-    for (data::EntityId e : cover_.neighborhood(i).entities) {
-      from_both_ends += PairsToMembers(i, e);
-    }
-    inside_pairs_[i] = from_both_ends / 2;
+  inside_pairs_.resize(cover_.size());
+  for (size_t i = 0; i < cover_.size(); ++i) {
+    inside_pairs_[i] = cover_.ContainedPairs(dataset_, i);
   }
   core_ = core::CoverMembership::FromEntries(std::move(state.core_entries));
   full_ = core::CoverMembership::FromEntries(std::move(state.full_entries));

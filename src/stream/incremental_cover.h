@@ -144,7 +144,7 @@ class IncrementalCover {
   /// per-insert drain never rescans the whole cover for its safety cap.
   size_t max_neighborhood_size() const { return max_neighborhood_size_; }
 
-  /// Candidate pairs with both endpoints in neighborhood `n` — what one
+  /// cover().ContainedPairs(dataset, n): the candidate pairs one
   /// re-evaluation of `n` presents to the matcher. Maintained as members
   /// join (neighborhoods only grow, so a joining member adds its pairs to
   /// members already present), so the drain reads it in O(1).
