@@ -42,7 +42,15 @@ void IncrementalCover::AddMember(uint32_t n, data::EntityId e, bool core,
   const bool newly_core = core && core_.Add(e, n);
   if (full_.Add(e, n)) {
     // Each inside pair is counted once: when its later endpoint joins.
-    inside_pairs_[n] += PairsToMembers(n, e);
+    const std::vector<data::EntityId>& members =
+        cover_.neighborhood(n).entities;
+    for (data::PairId id : dataset_.PairsOfEntity(e)) {
+      const data::EntityPair& p = dataset_.candidate_pair(id).pair;
+      const data::EntityId other = p.a == e ? p.b : p.a;
+      if (std::binary_search(members.begin(), members.end(), other)) {
+        ++inside_pairs_[n];
+      }
+    }
     cover_.AddEntityTo(n, e);
     max_neighborhood_size_ = std::max(max_neighborhood_size_,
                                       cover_.neighborhood(n).entities.size());
@@ -58,17 +66,6 @@ void IncrementalCover::AddMember(uint32_t n, data::EntityId e, bool core,
       if (is_live(c)) AddMember(n, c, /*core=*/false, dirty);
     }
   }
-}
-
-size_t IncrementalCover::PairsToMembers(uint32_t n, data::EntityId e) const {
-  const std::vector<data::EntityId>& members = cover_.neighborhood(n).entities;
-  size_t count = 0;
-  for (data::PairId id : dataset_.PairsOfEntity(e)) {
-    const data::EntityPair& p = dataset_.candidate_pair(id).pair;
-    const data::EntityId other = p.a == e ? p.b : p.a;
-    if (std::binary_search(members.begin(), members.end(), other)) ++count;
-  }
-  return count;
 }
 
 Status IncrementalCover::RestoreState(IncrementalCoverState state,

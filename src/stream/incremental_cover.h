@@ -227,9 +227,6 @@ class IncrementalCover {
   void AddMember(uint32_t n, data::EntityId e, bool core,
                  std::vector<uint32_t>& dirty);
 
-  /// Candidate pairs of `e` whose other endpoint is a member of `n`.
-  size_t PairsToMembers(uint32_t n, data::EntityId e) const;
-
   const data::Dataset& dataset_;
   IncrementalCoverOptions options_;
   blocking::MinHasher hasher_;
