@@ -1,8 +1,9 @@
 // Persistence unit suite: the framed-IO primitives, the serialization
 // accessors (pinned against observable streaming behavior), snapshot
 // round-trips (semantic equality AND save->load->save byte identity),
-// token-index persistence, WAL framing, and the committed golden v1
-// fixture that locks the on-disk format across PRs and hosts.
+// derived state recounted on recovery, token-index persistence, WAL
+// framing, and the committed golden v1 fixture that locks the on-disk
+// format across PRs and hosts.
 
 #include <algorithm>
 #include <cstdint>
