@@ -1,8 +1,9 @@
 // Hot-path microbench: the per-record tokenise -> MinHash -> score chain,
 // legacy layout vs the arena/SIMD overhaul, plus the per-neighborhood MMP
-// loop and the MLN model build of a streamed neighborhood.
+// loop, the MLN model build of a streamed neighborhood and the set-up
+// stages before the first evaluation.
 //
-// Five tables, one per pipeline stage, each comparing the historical
+// Six tables, one per pipeline stage, each comparing the historical
 // implementation (heap token strings, per-call scalar loops, a copy of M+
 // per hypothesis — replicated inline below so the baseline survives the
 // refactor it measures) against the current hot path:
@@ -18,7 +19,11 @@
 //    vs core::RunMmp, same MLN matcher (seconds per run, speedup);
 //  * induced_model — the binary-search model builder vs the bitmap
 //    mln::BuildInducedModel over every neighborhood of a streamed cover
-//    (seconds per sweep, speedup).
+//    (seconds per sweep, speedup);
+//  * setup    — hash-container replicas vs the dense-mark set-up stages on a
+//    DBLP-like corpus: the trigram self-join of BuildCandidatePairs,
+//    ExpandCoauthorBoundary on an unexpanded LSH cover, and
+//    mln::PairGraph::Build (seconds per pass, speedup).
 //
 // Every comparison CEM_CHECKs bit-identical results before it reports a
 // speedup — the overhaul's contract is "same answer, faster"; for MMP that
@@ -34,22 +39,30 @@
 // with canopy blocking explicitly (never via CEM_BLOCKING), and its
 // counter_mmp_* / counter_mln_* values pin the work message passing does.
 // The streamed cover comes from a fixed arrival order, so the
-// counter_mln_induced_* sums are a pure function of the scale too.
+// counter_mln_induced_* sums are a pure function of the scale too. The
+// set-up corpus is built with LSH blocking explicitly, and its
+// counter_data_candidate_pairs, counter_core_boundary_members (neighborhood
+// sizes summed after expansion) and counter_mln_graph_links pin what the
+// set-up stages produce.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
 #include <iterator>
+#include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "blocking/blocking_tokens.h"
+#include "blocking/lsh_cover.h"
 #include "blocking/minhash.h"
 #include "blocking/minhash_simd.h"
 #include "core/cover.h"
@@ -58,14 +71,17 @@
 #include "core/maximal_message.h"
 #include "core/message_passing.h"
 #include "core/neighbor_index.h"
+#include "data/dataset.h"
 #include "data/entity.h"
 #include "eval/experiment.h"
 #include "graph/connected_components.h"
+#include "mln/grounding.h"
 #include "mln/map_inference.h"
 #include "mln/mln_matcher.h"
 #include "stream/incremental_cover.h"
 #include "text/jaccard.h"
 #include "text/jaro_winkler.h"
+#include "text/similarity_level.h"
 #include "text/token_arena.h"
 #include "util/hash.h"
 #include "util/random.h"
@@ -299,6 +315,156 @@ mln::InducedModel LegacyBuildInducedModel(
     }
   }
   return model;
+}
+
+/// The historical trigram self-join of data::Dataset::BuildCandidatePairs:
+/// one postings map keyed by each token's precomputed hash, and per
+/// reference a hash-map overlap scan over every doc sharing a token
+/// (text::TokenIndex::Candidates), filtered to docs after it, then the
+/// name scoring. Registers the pairs on `fresh`, a finalized dataset
+/// without candidate pairs.
+void LegacyBuildCandidatePairs(data::Dataset& fresh,
+                               const data::CandidateOptions& options,
+                               const ExecutionContext& ctx) {
+  struct HashedToken {
+    std::string_view view;
+    uint64_t hash;
+    bool operator==(const HashedToken& other) const {
+      return view == other.view;
+    }
+  };
+  struct HashedTokenHash {
+    size_t operator()(const HashedToken& t) const { return t.hash; }
+  };
+  const std::vector<data::EntityId>& refs = fresh.author_refs();
+  const size_t n = refs.size();
+  const text::TokenCorpus corpus = text::TokenCorpus::Build(
+      n,
+      [&](size_t i, text::TokenCorpus::DocBuilder& builder) {
+        blocking::AppendAuthorBlockingTokens(fresh.entity(refs[i]), builder);
+      },
+      ctx);
+  std::unordered_map<HashedToken, std::vector<uint32_t>, HashedTokenHash>
+      postings;
+  for (uint32_t doc = 0; doc < n; ++doc) {
+    for (const text::TokenRef& ref : corpus.doc(doc)) {
+      postings[{ref.view(), ref.hash}].push_back(doc);
+    }
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    const std::span<const text::TokenRef> my_tokens = corpus.doc(i);
+    size_t postings_total = 0;
+    std::vector<const std::vector<uint32_t>*> lists;
+    for (const text::TokenRef& ref : my_tokens) {
+      auto it = postings.find({ref.view(), ref.hash});
+      if (it == postings.end()) continue;
+      lists.push_back(&it->second);
+      postings_total += it->second.size();
+    }
+    std::unordered_map<uint32_t, uint32_t> overlap;
+    overlap.reserve(std::min(postings_total, n));
+    for (const std::vector<uint32_t>* list : lists) {
+      for (uint32_t other : *list) {
+        if (other != i) ++overlap[other];
+      }
+    }
+    std::vector<uint32_t> block;
+    const double my_count = static_cast<double>(my_tokens.size());
+    for (const auto& [other, shared] : overlap) {
+      const double denom =
+          std::max<double>(my_count, corpus.doc(other).size());
+      const double score = denom == 0 ? 0.0 : shared / denom;
+      if (score >= options.min_ngram_overlap && other > i) {
+        block.push_back(other);
+      }
+    }
+    std::sort(block.begin(), block.end());
+    const data::Entity& a = fresh.entity(refs[i]);
+    for (uint32_t other : block) {
+      const data::Entity& b = fresh.entity(refs[other]);
+      const text::SimilarityLevel level = text::NameSimilarityLevel(
+          a.first_name, a.last_name, b.first_name, b.last_name,
+          options.thresholds);
+      if (level != text::SimilarityLevel::kNone) {
+        fresh.AddCandidatePair(a.id, b.id, level);
+      }
+    }
+  }
+  fresh.FinalizeCandidatePairs();
+}
+
+/// The historical core::ExpandCoauthorBoundary: per neighborhood, the
+/// members' coauthors gathered in an unordered_set, then inserted one at a
+/// time into the sorted member vector.
+void LegacyExpandCoauthorBoundary(const data::Dataset& dataset,
+                                  core::Cover& cover) {
+  for (size_t i = 0; i < cover.size(); ++i) {
+    std::unordered_set<data::EntityId> boundary;
+    for (data::EntityId e : cover.neighborhood(i).entities) {
+      for (data::EntityId c : dataset.Coauthors(e)) boundary.insert(c);
+    }
+    for (data::EntityId c : boundary) cover.AddEntityTo(i, c);
+  }
+}
+
+/// The historical mln::PairGraph::Build: shared coauthors by intersection,
+/// links by one FindCandidatePair probe per (coauthor of e1, coauthor of
+/// e2).
+struct LegacyGroundNode {
+  std::vector<data::EntityId> shared_coauthors;
+  std::vector<data::PairId> links;
+};
+std::vector<LegacyGroundNode> LegacyGroundPairGraph(
+    const data::Dataset& dataset) {
+  std::vector<LegacyGroundNode> nodes(dataset.num_candidate_pairs());
+  for (data::PairId id = 0; id < nodes.size(); ++id) {
+    LegacyGroundNode& node = nodes[id];
+    const data::EntityPair pair = dataset.candidate_pair(id).pair;
+    const std::vector<data::EntityId>& co_a = dataset.Coauthors(pair.a);
+    const std::vector<data::EntityId>& co_b = dataset.Coauthors(pair.b);
+    std::set_intersection(co_a.begin(), co_a.end(), co_b.begin(), co_b.end(),
+                          std::back_inserter(node.shared_coauthors));
+    for (data::EntityId c : co_a) {
+      for (data::EntityId d : co_b) {
+        if (c == d) continue;
+        const auto q = dataset.FindCandidatePair(c, d);
+        if (!q.has_value() || *q == id) continue;
+        node.links.push_back(*q);
+      }
+    }
+    std::sort(node.links.begin(), node.links.end());
+    node.links.erase(std::unique(node.links.begin(), node.links.end()),
+                     node.links.end());
+  }
+  return nodes;
+}
+
+/// A finalized copy of `source` — same entities under the same ids, same
+/// Authored and Cites tuples — without candidate pairs, so
+/// BuildCandidatePairs can run on it.
+std::unique_ptr<data::Dataset> WithoutCandidatePairs(
+    const data::Dataset& source) {
+  auto out = std::make_unique<data::Dataset>();
+  for (const data::Entity& e : source.entities()) {
+    if (e.type == data::EntityType::kAuthorRef) {
+      out->AddAuthorRef(e.first_name, e.last_name, e.truth);
+    } else {
+      out->AddPaper(e.title, e.year, e.truth);
+    }
+  }
+  for (const data::Entity& e : source.entities()) {
+    if (e.type == data::EntityType::kAuthorRef) {
+      for (data::EntityId paper : source.authored().Neighbors(e.id)) {
+        out->AddAuthored(e.id, paper);
+      }
+    } else {
+      for (data::EntityId cited : source.cites().Neighbors(e.id)) {
+        out->AddCites(e.id, cited);
+      }
+    }
+  }
+  out->Finalize();
+  return out;
 }
 
 // --- synthetic workload -----------------------------------------------------
@@ -722,6 +888,122 @@ int main() {
   report.Metric("counter_mln_induced_vars", static_cast<double>(induced_vars));
   report.Metric("counter_mln_induced_links",
                 static_cast<double>(induced_links));
+
+  // --- setup ----------------------------------------------------------------
+  // The set-up every workload pays before its first evaluation, on a
+  // DBLP-like corpus: the trigram self-join behind candidate pairs, the
+  // coauthor boundary expansion of an LSH cover, and MLN link grounding.
+  // Each pass gets its own input — a dataset without candidate pairs, a
+  // copy of the unexpanded cover — prepared before timing starts.
+  constexpr int kSetupReps = 5;
+  const eval::Workload dblp = eval::MakeDblpWorkload(
+      std::max(1.0, 4 * scale), core::BlockingStrategy::kLsh, ctx);
+  const data::Dataset& setup_data = *dblp.dataset;
+  const data::CandidateOptions candidate_options;
+  const auto fresh_datasets = [&] {
+    std::vector<std::unique_ptr<data::Dataset>> out;
+    for (int rep = 0; rep <= kSetupReps; ++rep) {
+      out.push_back(WithoutCandidatePairs(setup_data));
+    }
+    return out;
+  };
+  std::vector<std::unique_ptr<data::Dataset>> legacy_fresh = fresh_datasets();
+  size_t next_fresh = 0;
+  const double legacy_pairs_s = TimeBest(kSetupReps, [&] {
+    LegacyBuildCandidatePairs(*legacy_fresh[next_fresh++], candidate_options,
+                              ctx);
+  });
+  std::vector<std::unique_ptr<data::Dataset>> fresh = fresh_datasets();
+  next_fresh = 0;
+  const double pairs_s = TimeBest(kSetupReps, [&] {
+    fresh[next_fresh++]->BuildCandidatePairs(candidate_options, ctx);
+  });
+  const auto same_pairs = [&](const data::Dataset& other) {
+    const std::vector<data::CandidatePair>& want =
+        setup_data.candidate_pairs();
+    const std::vector<data::CandidatePair>& got = other.candidate_pairs();
+    if (got.size() != want.size()) return false;
+    for (size_t p = 0; p < want.size(); ++p) {
+      if (got[p].pair != want[p].pair || got[p].level != want[p].level) {
+        return false;
+      }
+    }
+    return true;
+  };
+  CEM_CHECK(same_pairs(*legacy_fresh.back()))
+      << "the legacy overlap scan diverged from the workload's pairs";
+  CEM_CHECK(same_pairs(*fresh.back()))
+      << "BuildCandidatePairs diverged from the legacy overlap scan";
+  legacy_fresh.clear();
+  fresh.clear();
+
+  blocking::LshCoverOptions unexpanded;
+  unexpanded.expand_boundary = false;
+  unexpanded.context = &ctx;
+  const core::Cover base_cover = blocking::BuildLshCover(setup_data, unexpanded);
+  std::vector<core::Cover> legacy_covers(kSetupReps + 1, base_cover);
+  size_t next_cover = 0;
+  const double legacy_boundary_s = TimeBest(kSetupReps, [&] {
+    LegacyExpandCoauthorBoundary(setup_data, legacy_covers[next_cover++]);
+  });
+  std::vector<core::Cover> covers(kSetupReps + 1, base_cover);
+  next_cover = 0;
+  const double boundary_s = TimeBest(kSetupReps, [&] {
+    core::ExpandCoauthorBoundary(setup_data, covers[next_cover++], ctx);
+  });
+  CEM_CHECK(covers.back().neighborhoods().size() == base_cover.size());
+  size_t boundary_members = 0;
+  for (size_t n = 0; n < base_cover.size(); ++n) {
+    CEM_CHECK(covers.back().neighborhood(n).entities ==
+              legacy_covers.back().neighborhood(n).entities)
+        << "ExpandCoauthorBoundary diverged from the legacy loop on "
+           "neighborhood "
+        << n;
+    boundary_members += covers.back().neighborhood(n).entities.size();
+  }
+
+  std::vector<LegacyGroundNode> legacy_nodes;
+  const double legacy_ground_s = TimeBest(
+      kSetupReps, [&] { legacy_nodes = LegacyGroundPairGraph(setup_data); });
+  mln::PairGraph setup_graph;
+  const double ground_s = TimeBest(
+      kSetupReps, [&] { setup_graph = mln::PairGraph::Build(setup_data); });
+  CEM_CHECK(setup_graph.num_nodes() == legacy_nodes.size());
+  for (data::PairId id = 0; id < legacy_nodes.size(); ++id) {
+    CEM_CHECK(setup_graph.node(id).shared_coauthors ==
+                  legacy_nodes[id].shared_coauthors &&
+              setup_graph.node(id).links == legacy_nodes[id].links)
+        << "PairGraph::Build diverged from the legacy grounding on pair "
+        << id;
+  }
+
+  TableWriter setup_table({"stage", "output", "legacy s", "s", "speedup"});
+  const auto setup_row = [&](const std::string& name, size_t output,
+                             double legacy_s, double seconds) {
+    setup_table.AddRow({name, std::to_string(output),
+                        TableWriter::Num(legacy_s, 5),
+                        TableWriter::Num(seconds, 5),
+                        TableWriter::Num(legacy_s / seconds, 2)});
+  };
+  std::printf("\nSet-up corpus: %zu author refs, %zu candidate pairs, %zu "
+              "LSH neighborhoods\n",
+              setup_data.author_refs().size(),
+              setup_data.num_candidate_pairs(), base_cover.size());
+  setup_row("candidate pairs", setup_data.num_candidate_pairs(),
+            legacy_pairs_s, pairs_s);
+  setup_row("boundary expansion", boundary_members, legacy_boundary_s,
+            boundary_s);
+  setup_row("grounding", setup_graph.num_links(), legacy_ground_s, ground_s);
+  report.Table("setup", setup_table);
+  report.Metric("speedup_setup_candidate_pairs", legacy_pairs_s / pairs_s);
+  report.Metric("speedup_setup_boundary", legacy_boundary_s / boundary_s);
+  report.Metric("speedup_setup_grounding", legacy_ground_s / ground_s);
+  report.Metric("counter_data_candidate_pairs",
+                static_cast<double>(setup_data.num_candidate_pairs()));
+  report.Metric("counter_core_boundary_members",
+                static_cast<double>(boundary_members));
+  report.Metric("counter_mln_graph_links",
+                static_cast<double>(setup_graph.num_links()));
 
   std::printf(
       "\nNote: every row above was checked bit-identical to the legacy\n"
