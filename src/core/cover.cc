@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <iterator>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -42,6 +44,19 @@ void Cover::AddEntityTo(size_t i, data::EntityId entity) {
   std::vector<data::EntityId>& v = neighborhoods_[i].entities;
   auto it = std::lower_bound(v.begin(), v.end(), entity);
   if (it == v.end() || *it != entity) v.insert(it, entity);
+}
+
+void Cover::AddEntitiesTo(size_t i, std::span<const data::EntityId> entities) {
+  CEM_CHECK(i < neighborhoods_.size());
+  CEM_DCHECK(std::adjacent_find(entities.begin(), entities.end(),
+                                std::greater_equal<>()) == entities.end())
+      << "entities must be sorted and duplicate-free";
+  std::vector<data::EntityId>& v = neighborhoods_[i].entities;
+  std::vector<data::EntityId> merged;
+  merged.reserve(v.size() + entities.size());
+  std::set_union(v.begin(), v.end(), entities.begin(), entities.end(),
+                 std::back_inserter(merged));
+  v = std::move(merged);
 }
 
 size_t Cover::MaxNeighborhoodSize() const {
@@ -288,16 +303,19 @@ void PatchPairCoverage(const data::Dataset& dataset, Cover& cover,
 void ExpandCoauthorBoundary(const data::Dataset& dataset, Cover& cover,
                             const ExecutionContext& ctx) {
   CEM_TRACE("core/expand_coauthor_boundary");
-  // Each iteration mutates only neighborhood i (AddEntityTo never resizes
+  // Each iteration mutates only neighborhood i (AddEntitiesTo never resizes
   // the neighborhood vector itself), so neighborhoods expand in parallel
-  // without synchronisation; AddEntityTo keeps members sorted/unique, so
-  // the unordered boundary iteration order does not affect the result.
+  // without synchronisation. The coauthors of all members are gathered
+  // before any is added, so one round adds exactly the original members'
+  // coauthors.
   ParallelFor(ctx.pool(), cover.size(), [&](size_t i) {
-    std::unordered_set<data::EntityId> boundary;
+    std::vector<data::EntityId> boundary;
     for (data::EntityId e : cover.neighborhood(i).entities) {
-      for (data::EntityId c : dataset.Coauthors(e)) boundary.insert(c);
+      const std::vector<data::EntityId>& coauthors = dataset.Coauthors(e);
+      boundary.insert(boundary.end(), coauthors.begin(), coauthors.end());
     }
-    for (data::EntityId c : boundary) cover.AddEntityTo(i, c);
+    Normalize(boundary);
+    cover.AddEntitiesTo(i, boundary);
   });
 }
 

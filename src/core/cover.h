@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +48,10 @@ class Cover {
 
   /// Adds `entity` to neighborhood `i` if not already present.
   void AddEntityTo(size_t i, data::EntityId entity);
+
+  /// Adds every one of `entities` — sorted and duplicate-free — to
+  /// neighborhood `i` if not already present, in one merge.
+  void AddEntitiesTo(size_t i, std::span<const data::EntityId> entities);
 
   /// Largest neighborhood size (the paper's k).
   size_t MaxNeighborhoodSize() const;

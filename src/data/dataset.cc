@@ -119,15 +119,15 @@ void Dataset::BuildCandidatePairs(const CandidateOptions& options,
       return out;
     };
   } else {
-    // Exact path: sharded trigram inverted index (parallel build), full
-    // postings scans.
+    // Exact path: sharded trigram inverted index (parallel build), scans
+    // of the postings past i.
     index.emplace(ctx.num_token_shards());
     index->AddDocuments(std::move(corpus), ctx);
     block_fn = [&](uint32_t i) {
       std::vector<uint32_t> out;
       for (const auto& cand :
-           index->Candidates(i, options.min_ngram_overlap)) {
-        if (cand.doc_id > i) out.push_back(cand.doc_id);
+           index->CandidatesAfter(i, options.min_ngram_overlap)) {
+        out.push_back(cand.doc_id);
       }
       return out;
     };

@@ -38,8 +38,9 @@ class PairGraph {
     std::vector<data::PairId> links;
   };
 
-  /// Builds the ground network for `dataset`'s candidate pairs. O(sum over
-  /// pairs of coauthor-degree product) — near-linear for bounded degrees.
+  /// Builds the ground network for `dataset`'s candidate pairs. Per pair
+  /// (e1, e2), linear in e2's coauthors plus the candidate pairs of e1's
+  /// coauthors — near-linear for bounded degrees.
   static PairGraph Build(const data::Dataset& dataset);
 
   const Node& node(data::PairId id) const { return nodes_[id]; }

@@ -103,11 +103,6 @@ double MlnMatcher::Score(const core::MatchSet& matches) const {
       }
     }
   }
-  // Count also the (p > q) halves for pairs whose partner has smaller id
-  // but is absent from the iteration above. The loop above visits every
-  // matched pair, and for each counts links to matched pairs with larger
-  // id — every unordered link with both ends matched is counted exactly
-  // once. Nothing further needed.
   return score;
 }
 

@@ -70,36 +70,54 @@ void TokenIndex::InsertPostings(size_t first_doc, const ExecutionContext& ctx) {
 
 std::vector<TokenIndex::Neighbor> TokenIndex::Candidates(
     uint32_t doc_id, double min_score, size_t* num_scored) const {
+  return Overlaps(doc_id, 0, min_score, num_scored);
+}
+
+std::vector<TokenIndex::Neighbor> TokenIndex::CandidatesAfter(
+    uint32_t doc_id, double min_score, size_t* num_scored) const {
+  return Overlaps(doc_id, doc_id + 1, min_score, num_scored);
+}
+
+std::vector<TokenIndex::Neighbor> TokenIndex::Overlaps(
+    uint32_t doc_id, uint32_t first, double min_score,
+    size_t* num_scored) const {
   CEM_CHECK(doc_id < corpus_.num_docs());
-  // One lookup per token: collect the postings lists, then reserve the
-  // overlap map from their summed sizes (bounds the number of distinct
-  // overlapping documents) so it never rehashes mid-scan.
+  // Shared-token counts indexed by doc id, plus the docs touched. The
+  // guard resets every touched count on every way out, so the thread's
+  // counts are all-zero between calls, whatever index the next call
+  // brings.
+  thread_local std::vector<uint32_t> overlap;
+  thread_local std::vector<uint32_t> touched;
+  if (overlap.size() < corpus_.num_docs()) {
+    overlap.resize(corpus_.num_docs(), 0);
+  }
+  struct ResetOnExit {
+    ~ResetOnExit() {
+      for (uint32_t other : touched) overlap[other] = 0;
+      touched.clear();
+    }
+  } reset_on_exit;
+  // Postings lists are in doc id order, so each is entered at `first`.
   const std::span<const TokenRef> my_tokens = corpus_.doc(doc_id);
-  size_t postings_total = 0;
-  std::vector<const std::vector<uint32_t>*> lists;
-  lists.reserve(my_tokens.size());
   for (const TokenRef& ref : my_tokens) {
     const Shard& shard = shards_[ShardOf(ref)];
     auto it = shard.postings.find(KeyOf(ref));
     if (it == shard.postings.end()) continue;
-    lists.push_back(&it->second);
-    postings_total += it->second.size();
-  }
-  std::unordered_map<uint32_t, uint32_t> overlap;
-  overlap.reserve(std::min(postings_total, corpus_.num_docs()));
-  for (const std::vector<uint32_t>* list : lists) {
-    for (uint32_t other : *list) {
-      if (other != doc_id) ++overlap[other];
+    const std::vector<uint32_t>& list = it->second;
+    for (auto other = std::lower_bound(list.begin(), list.end(), first);
+         other != list.end(); ++other) {
+      if (*other != doc_id && overlap[*other]++ == 0) {
+        touched.push_back(*other);
+      }
     }
   }
-  if (num_scored != nullptr) *num_scored = overlap.size();
+  if (num_scored != nullptr) *num_scored = touched.size();
   std::vector<Neighbor> out;
-  out.reserve(overlap.size());
   const double my_count = static_cast<double>(my_tokens.size());
-  for (const auto& [other, shared] : overlap) {
+  for (uint32_t other : touched) {
     const double denom =
         std::max<double>(my_count, corpus_.doc(other).size());
-    const double score = denom == 0 ? 0.0 : shared / denom;
+    const double score = denom == 0 ? 0.0 : overlap[other] / denom;
     if (score >= min_score) out.push_back({other, score});
   }
   std::sort(out.begin(), out.end(),

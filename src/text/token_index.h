@@ -74,6 +74,12 @@ class TokenIndex {
   std::vector<Neighbor> Candidates(uint32_t doc_id, double min_score,
                                    size_t* num_scored = nullptr) const;
 
+  /// Candidates() restricted to documents with ids above `doc_id`: a
+  /// self-join asking this of every document sees each overlapping pair
+  /// once, and scans only the tail of each postings list.
+  std::vector<Neighbor> CandidatesAfter(uint32_t doc_id, double min_score,
+                                        size_t* num_scored = nullptr) const;
+
   /// Tokens shared between index entry construction calls are interned; this
   /// returns the number of distinct tokens seen.
   size_t num_tokens() const;
@@ -122,6 +128,11 @@ class TokenIndex {
   size_t ShardOf(const TokenRef& ref) const {
     return ref.hash % shards_.size();
   }
+
+  /// The overlap scan behind Candidates() and CandidatesAfter(): documents
+  /// other than `doc_id` with ids >= `first`.
+  std::vector<Neighbor> Overlaps(uint32_t doc_id, uint32_t first,
+                                 double min_score, size_t* num_scored) const;
 
   /// Inserts postings for documents [first_doc, num_docs) of corpus_ —
   /// the bulk path partitions the (token, doc) stream by owning shard and

@@ -1,3 +1,5 @@
+#include <string>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include "data/bib_generator.h"
 #include "data/dataset.h"
 #include "data/figure1.h"
+#include "util/execution_context.h"
 
 namespace cem::core {
 namespace {
@@ -29,6 +32,15 @@ TEST(CoverTest, AddEntityToKeepsSorted) {
   cover.AddEntityTo(0, 3);  // Duplicate ignored.
   EXPECT_EQ(cover.neighborhood(0).entities,
             (std::vector<EntityId>{1, 3, 5}));
+}
+
+TEST(CoverTest, AddEntitiesToMergesSortedUnique) {
+  Cover cover;
+  cover.Add({1, 5});
+  cover.AddEntitiesTo(0, std::vector<EntityId>{0, 3, 5, 9});
+  cover.AddEntitiesTo(0, std::vector<EntityId>{});
+  EXPECT_EQ(cover.neighborhood(0).entities,
+            (std::vector<EntityId>{0, 1, 3, 5, 9}));
 }
 
 TEST(CoverTest, SizeStatistics) {
@@ -146,6 +158,78 @@ TEST(CanopyContrastTest, HepthHasLargerNeighborhoodsThanDblp) {
   const Cover dblp_cover = BuildCanopyCover(*dblp);
   EXPECT_GT(hepth_cover.MeanNeighborhoodSize(),
             dblp_cover.MeanNeighborhoodSize());
+}
+
+// ---------------------------------------------------- Boundary expansion --
+
+/// The original boundary expansion: each neighborhood's coauthors gathered
+/// in an unordered_set, then added one at a time.
+void ReferenceExpandCoauthorBoundary(const data::Dataset& dataset,
+                                     Cover& cover) {
+  for (size_t i = 0; i < cover.size(); ++i) {
+    std::unordered_set<EntityId> boundary;
+    for (EntityId e : cover.neighborhood(i).entities) {
+      for (EntityId c : dataset.Coauthors(e)) boundary.insert(c);
+    }
+    for (EntityId c : boundary) cover.AddEntityTo(i, c);
+  }
+}
+
+void ExpectExpansionMatchesReference(const data::Dataset& dataset,
+                                     const Cover& unexpanded,
+                                     const ExecutionContext& ctx) {
+  Cover expected = unexpanded;
+  ReferenceExpandCoauthorBoundary(dataset, expected);
+  Cover actual = unexpanded;
+  ExpandCoauthorBoundary(dataset, actual, ctx);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual.neighborhood(i).entities,
+              expected.neighborhood(i).entities)
+        << "neighborhood " << i;
+  }
+}
+
+TEST(ExpandCoauthorBoundaryTest, MatchesReferenceOnBibCorpora) {
+  for (const data::BibConfig& config :
+       {data::BibConfig::HepthLike(0.3), data::BibConfig::DblpLike(0.3)}) {
+    const auto dataset = data::GenerateBibDataset(config);
+    CanopyOptions options;
+    options.expand_boundary = false;
+    const Cover unexpanded = BuildCanopyCover(*dataset, options);
+    ASSERT_FALSE(unexpanded.IsTotalForCoauthor(*dataset));
+    for (const uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      ExpectExpansionMatchesReference(*dataset, unexpanded,
+                                      ExecutionContext(threads));
+    }
+  }
+}
+
+TEST(ExpandCoauthorBoundaryTest, HandBuiltEdgeCases) {
+  data::Dataset dataset;
+  const EntityId r0 = dataset.AddAuthorRef("ann", "lee");
+  const EntityId r1 = dataset.AddAuthorRef("bo", "ng");
+  const EntityId r2 = dataset.AddAuthorRef("cy", "ito");
+  const EntityId r3 = dataset.AddAuthorRef("di", "oz");
+  const EntityId loner = dataset.AddAuthorRef("ed", "uu");
+  const EntityId p0 = dataset.AddPaper("p0");
+  const EntityId p1 = dataset.AddPaper("p1");
+  for (EntityId ref : {r0, r1, r2}) dataset.AddAuthored(ref, p0);
+  for (EntityId ref : {r2, r3}) dataset.AddAuthored(ref, p1);
+  dataset.Finalize();
+  Cover cover;
+  cover.Add({});         // Empty: stays empty.
+  cover.Add({r0, r1});   // Members coauthor each other; r2 joins.
+  cover.Add({loner});    // No coauthors: unchanged.
+  cover.Add({r3});       // One round: r2 joins, r2's coauthors do not.
+  ExpectExpansionMatchesReference(dataset, cover, ExecutionContext(1));
+  ExpandCoauthorBoundary(dataset, cover, ExecutionContext(1));
+  EXPECT_TRUE(cover.neighborhood(0).entities.empty());
+  EXPECT_EQ(cover.neighborhood(1).entities,
+            (std::vector<EntityId>{r0, r1, r2}));
+  EXPECT_EQ(cover.neighborhood(2).entities, (std::vector<EntityId>{loner}));
+  EXPECT_EQ(cover.neighborhood(3).entities, (std::vector<EntityId>{r2, r3}));
 }
 
 // -------------------------------------------------------- NeighborIndex --

@@ -84,6 +84,77 @@ TEST(PairGraphTest, GlobalThetaFigure1Demo) {
   EXPECT_DOUBLE_EQ(graph.GlobalTheta(a1a2, w), -5.0);
 }
 
+/// Checks PairGraph::Build against the cross-product grounding: shared
+/// coauthors by intersection, links by one FindCandidatePair probe per
+/// (coauthor c of e1, coauthor d of e2).
+void ExpectGraphMatchesProbeReference(const data::Dataset& d) {
+  const PairGraph graph = PairGraph::Build(d);
+  ASSERT_EQ(graph.num_nodes(), d.num_candidate_pairs());
+  size_t directed = 0;
+  for (data::PairId id = 0; id < d.num_candidate_pairs(); ++id) {
+    const EntityPair p = d.candidate_pair(id).pair;
+    const std::vector<EntityId>& co_a = d.Coauthors(p.a);
+    const std::vector<EntityId>& co_b = d.Coauthors(p.b);
+    std::vector<EntityId> shared;
+    std::set_intersection(co_a.begin(), co_a.end(), co_b.begin(), co_b.end(),
+                          std::back_inserter(shared));
+    std::vector<data::PairId> links;
+    for (EntityId c : co_a) {
+      for (EntityId e : co_b) {
+        const auto q = d.FindCandidatePair(c, e);
+        if (c != e && q.has_value() && *q != id) links.push_back(*q);
+      }
+    }
+    std::sort(links.begin(), links.end());
+    links.erase(std::unique(links.begin(), links.end()), links.end());
+    EXPECT_EQ(graph.node(id).pair, p);
+    EXPECT_EQ(graph.node(id).shared_coauthors, shared) << "pair " << id;
+    EXPECT_EQ(graph.node(id).links, links) << "pair " << id;
+    directed += links.size();
+  }
+  EXPECT_EQ(graph.num_links(), directed / 2);
+}
+
+TEST(PairGraphTest, BuildMatchesProbeReferenceOnBibCorpora) {
+  for (const data::BibConfig& config :
+       {data::BibConfig::HepthLike(0.3), data::BibConfig::DblpLike(0.3)}) {
+    const auto dataset = data::GenerateBibDataset(config);
+    ExpectGraphMatchesProbeReference(*dataset);
+  }
+}
+
+TEST(PairGraphTest, CoauthoredPairIsNotItsOwnLink) {
+  // (a1, a2) is a candidate pair whose references coauthored paper p, so
+  // a2 is a coauthor of a1 and a1 one of a2: the pair's own endpoints are
+  // a (coauthor of e1, coauthor of e2) combination, and must not link it
+  // to itself. Its one link is (b1, b2), via a1-b1 on q and a2-b2 on r.
+  data::Dataset d;
+  const EntityId a1 = d.AddAuthorRef("J.", "Smith");
+  const EntityId a2 = d.AddAuthorRef("John", "Smith");
+  const EntityId b1 = d.AddAuthorRef("A.", "Jones");
+  const EntityId b2 = d.AddAuthorRef("Ann", "Jones");
+  const EntityId p = d.AddPaper("p");
+  const EntityId q = d.AddPaper("q");
+  const EntityId r = d.AddPaper("r");
+  d.AddAuthored(a1, p);
+  d.AddAuthored(a2, p);
+  d.AddAuthored(a1, q);
+  d.AddAuthored(b1, q);
+  d.AddAuthored(a2, r);
+  d.AddAuthored(b2, r);
+  d.Finalize();
+  d.AddCandidatePair(a1, a2, text::SimilarityLevel::kMedium);
+  d.AddCandidatePair(b1, b2, text::SimilarityLevel::kMedium);
+  d.FinalizeCandidatePairs();
+  const data::PairId aa = *d.FindCandidatePair(a1, a2);
+  const data::PairId bb = *d.FindCandidatePair(b1, b2);
+  const PairGraph graph = PairGraph::Build(d);
+  EXPECT_EQ(graph.node(aa).links, (std::vector<data::PairId>{bb}));
+  EXPECT_EQ(graph.node(bb).links, (std::vector<data::PairId>{aa}));
+  EXPECT_EQ(graph.num_links(), 1u);
+  ExpectGraphMatchesProbeReference(d);
+}
+
 // -------------------------------------------------------- MAP inference --
 
 class Figure1Inference : public ::testing::Test {

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cstdint>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -14,6 +16,7 @@
 #include "text/token_arena.h"
 #include "text/token_index.h"
 #include "util/hash.h"
+#include "util/random.h"
 
 namespace cem::text {
 namespace {
@@ -266,6 +269,110 @@ TEST(TokenIndexTest, AddDocumentsMatchesSerialInsertion) {
       EXPECT_EQ(actual[i].score, expected[i].score);
     }
   }
+}
+
+/// Random lower-case token sets over a small vocabulary, so many documents
+/// overlap, plus one token-free document and one whose only token no other
+/// document has.
+std::vector<std::vector<std::string>> OverlapDocs(Rng& rng, size_t n) {
+  std::vector<std::vector<std::string>> docs(n);
+  for (auto& doc : docs) {
+    const size_t num_tokens = 1 + rng.NextBounded(6);
+    for (size_t t = 0; t < num_tokens; ++t) {
+      doc.push_back("t" + std::to_string(rng.NextBounded(30)));
+    }
+  }
+  docs[n / 3].clear();
+  docs[n / 2] = {"only-here"};
+  return docs;
+}
+
+/// Brute-force overlap scan: every other document with id >= `first`
+/// sharing a token, scored |A ∩ B| / max(|A|, |B|) over the deduplicated
+/// token sets, in id order. `num_scored` counts them before the filter.
+std::vector<TokenIndex::Neighbor> BruteForceOverlaps(
+    const std::vector<std::set<std::string>>& docs, uint32_t doc,
+    uint32_t first, double min_score, size_t& num_scored) {
+  const std::set<std::string>& mine = docs[doc];
+  std::vector<TokenIndex::Neighbor> out;
+  num_scored = 0;
+  for (uint32_t other = first; other < docs.size(); ++other) {
+    if (other == doc) continue;
+    const std::set<std::string>& theirs = docs[other];
+    size_t shared = 0;
+    for (const std::string& token : mine) shared += theirs.count(token);
+    if (shared == 0) continue;
+    ++num_scored;
+    const double score = static_cast<double>(shared) /
+                         static_cast<double>(std::max(mine.size(),
+                                                      theirs.size()));
+    if (score >= min_score) out.push_back({other, score});
+  }
+  return out;
+}
+
+void ExpectSameNeighbors(const std::vector<TokenIndex::Neighbor>& actual,
+                         const std::vector<TokenIndex::Neighbor>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i].doc_id, expected[i].doc_id);
+    EXPECT_EQ(actual[i].score, expected[i].score);
+  }
+}
+
+/// Checks Candidates() and CandidatesAfter() of every document against the
+/// brute-force scan, with and without a score filter.
+void ExpectOverlapsMatchBruteForce(
+    const TokenIndex& index,
+    const std::vector<std::vector<std::string>>& token_lists) {
+  std::vector<std::set<std::string>> docs;
+  for (const auto& tokens : token_lists) {
+    docs.emplace_back(tokens.begin(), tokens.end());
+  }
+  for (uint32_t doc = 0; doc < docs.size(); ++doc) {
+    for (const double min_score : {0.0, 0.4}) {
+      SCOPED_TRACE("doc " + std::to_string(doc) + ", min_score " +
+                   std::to_string(min_score));
+      size_t want_scored = 0;
+      size_t scored = 0;
+      const auto all = index.Candidates(doc, min_score, &scored);
+      ExpectSameNeighbors(
+          all, BruteForceOverlaps(docs, doc, 0, min_score, want_scored));
+      EXPECT_EQ(scored, want_scored);
+      const auto after = index.CandidatesAfter(doc, min_score, &scored);
+      ExpectSameNeighbors(after, BruteForceOverlaps(docs, doc, doc + 1,
+                                                    min_score, want_scored));
+      EXPECT_EQ(scored, want_scored);
+      std::vector<TokenIndex::Neighbor> all_after;
+      for (const auto& neighbor : all) {
+        if (neighbor.doc_id > doc) all_after.push_back(neighbor);
+      }
+      ExpectSameNeighbors(after, all_after);
+    }
+  }
+}
+
+TEST(TokenIndexTest, OverlapScansMatchBruteForceAcrossIndexes) {
+  // Every query runs on this one thread, so the small index's queries
+  // reuse the overlap counts the large index's queries left behind, and
+  // the large index's second pass reuses the small index's.
+  Rng rng(0x0e1a9);
+  const auto large_docs = OverlapDocs(rng, 240);
+  const auto small_docs = OverlapDocs(rng, 12);
+  TokenIndex large(/*num_shards=*/4);
+  TokenIndex small;
+  for (uint32_t doc = 0; doc < large_docs.size(); ++doc) {
+    large.AddDocument(doc, large_docs[doc]);
+  }
+  for (uint32_t doc = 0; doc < small_docs.size(); ++doc) {
+    small.AddDocument(doc, small_docs[doc]);
+  }
+  ExpectOverlapsMatchBruteForce(large, large_docs);
+  ExpectOverlapsMatchBruteForce(small, small_docs);
+  ExpectOverlapsMatchBruteForce(large, large_docs);
+  // The token-free and the isolated document overlap nothing.
+  EXPECT_TRUE(large.Candidates(large_docs.size() / 3, 0.0).empty());
+  EXPECT_TRUE(large.Candidates(large_docs.size() / 2, 0.0).empty());
 }
 
 // ----------------------------------------------------------- TokenCorpus --
