@@ -787,6 +787,8 @@ int main() {
   CEM_CHECK(mln_matcher.num_runs() == legacy_runs &&
             mln_matcher.total_free_variables() == legacy_free_vars)
       << "RunMmp diverged from the legacy driver's matcher work";
+  CEM_CHECK(mmp.matcher_calls == mln_matcher.num_runs())
+      << "RunMmp's matcher_calls diverged from the matcher's own run count";
 
   TableWriter mmp_table({"driver", "evaluations", "messages", "promoted",
                          "matches", "s/run", "speedup"});

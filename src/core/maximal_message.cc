@@ -40,12 +40,14 @@ MatchSet RestrictToMembers(const MatchSet& evidence,
 
 std::vector<MaximalMessage> ComputeMaximal(
     const Matcher& matcher, const std::vector<data::EntityId>& entities,
-    const MatchSet& evidence, const MatchSet& base) {
+    const MatchSet& evidence, const MatchSet& base,
+    size_t* conditioned_calls) {
   // Unresolved candidate pairs of C that can possibly entangle with
   // another (the matcher's pruning hook; the default returns all
   // unresolved in-neighborhood candidate pairs).
   const std::vector<data::EntityPair> hypotheses =
       matcher.EntangledPairs(entities, evidence, base);
+  if (conditioned_calls != nullptr) *conditioned_calls = hypotheses.size();
   if (hypotheses.empty()) return {};
 
   // One clamped run per hypothesis: what else does assuming p entail? The

@@ -34,9 +34,13 @@ inline constexpr double kScoreEps = 1e-9;
 /// restricted once to C x C (the evidence-locality contract of
 /// core/matcher.h makes that invisible to the matcher) and each hypothesis
 /// is inserted into and erased from that one small set.
+///
+/// When `conditioned_calls` is non-null it receives the number of
+/// MatchConditioned calls issued: exactly one per hypothesis.
 std::vector<MaximalMessage> ComputeMaximal(
     const Matcher& matcher, const std::vector<data::EntityId>& entities,
-    const MatchSet& evidence, const MatchSet& base);
+    const MatchSet& evidence, const MatchSet& base,
+    size_t* conditioned_calls = nullptr);
 
 /// The set T of Algorithm 3: disjoint maximal messages under the merge
 /// rule (T ∪ TC)* — overlapping messages are replaced by their union

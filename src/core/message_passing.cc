@@ -77,14 +77,10 @@ MpResult RunMmpImpl(const ProbabilisticMatcher& matcher, const Cover& cover,
 
     // Step 5: direct matches and maximal messages of this neighborhood.
     const MatchSet mc = matcher.Match(entities, matched);
-    size_t maximal_runs = 0;
+    size_t conditioned_calls = 0;
     const std::vector<MaximalMessage> tc =
-        ComputeMaximal(matcher, entities, matched, mc);
-    // ComputeMaximal issues one clamped run per hypothesis plus the base
-    // run already counted via mc; approximate its call count by messages'
-    // total support (exact count tracked by matcher-side counters).
-    maximal_runs += 1;
-    result.matcher_calls += 1 + maximal_runs;
+        ComputeMaximal(matcher, entities, matched, mc, &conditioned_calls);
+    result.matcher_calls += 1 + conditioned_calls;
     result.messages_created += tc.size();
 
     // Step 6: M+ ∪= MC ; T = (T ∪ TC)*.

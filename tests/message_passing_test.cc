@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/canopy.h"
 #include "core/cover.h"
 #include "core/match_set.h"
 #include "core/maximal_message.h"
 #include "core/message_passing.h"
+#include "data/bib_generator.h"
 #include "data/figure1.h"
 #include "mln/mln_matcher.h"
 
@@ -227,14 +229,26 @@ TEST(MaximalMessageSetTest, MergedMessagesGetFreshIds) {
   EXPECT_NE(x, merged);
 }
 
-/// Forwards to the Figure 1 MLN matcher, counting ScoreDelta calls.
+/// Forwards to an MLN matcher, counting black-box and ScoreDelta calls.
 class CountingMatcher : public ProbabilisticMatcher {
  public:
   explicit CountingMatcher(const ProbabilisticMatcher& inner) : inner_(inner) {}
   MatchSet Match(const std::vector<EntityId>& entities,
                  const MatchSet& positive,
                  const MatchSet& negative) const override {
+    ++match_calls;
     return inner_.Match(entities, positive, negative);
+  }
+  MatchSet MatchConditioned(const std::vector<EntityId>& entities,
+                            const MatchSet& positive,
+                            const MatchSet& negative) const override {
+    ++conditioned_calls;
+    return inner_.MatchConditioned(entities, positive, negative);
+  }
+  std::vector<EntityPair> EntangledPairs(
+      const std::vector<EntityId>& entities, const MatchSet& evidence,
+      const MatchSet& base) const override {
+    return inner_.EntangledPairs(entities, evidence, base);
   }
   const data::Dataset& dataset() const override { return inner_.dataset(); }
   double Score(const MatchSet& matches) const override {
@@ -245,6 +259,8 @@ class CountingMatcher : public ProbabilisticMatcher {
     ++score_delta_calls;
     return inner_.ScoreDelta(current, additions);
   }
+  mutable size_t match_calls = 0;
+  mutable size_t conditioned_calls = 0;
   mutable size_t score_delta_calls = 0;
 
  private:
@@ -356,6 +372,34 @@ TEST_F(Figure1Mp, MmpDominatesSmpDominatesNoMp) {
   EXPECT_TRUE(no_mp.IsSubsetOf(smp));
   EXPECT_TRUE(smp.IsSubsetOf(mmp));
   EXPECT_LT(smp.size(), mmp.size());
+}
+
+/// Runs both MMP drivers through a CountingMatcher over `matcher`:
+/// matcher_calls must count every Match and MatchConditioned call.
+void ExpectMmpCountsEveryMatcherCall(const ProbabilisticMatcher& matcher,
+                                     const Cover& cover) {
+  for (const bool merge : {true, false}) {
+    SCOPED_TRACE(merge ? "RunMmp" : "RunMmpWithoutMerge");
+    const CountingMatcher counting(matcher);
+    const MpResult result = merge ? RunMmp(counting, cover)
+                                  : RunMmpWithoutMerge(counting, cover);
+    EXPECT_EQ(counting.match_calls, result.neighborhood_evaluations);
+    EXPECT_GT(counting.conditioned_calls, 0u);
+    EXPECT_EQ(result.matcher_calls,
+              counting.match_calls + counting.conditioned_calls);
+  }
+}
+
+TEST_F(Figure1Mp, MmpMatcherCallsAreExact) {
+  ExpectMmpCountsEveryMatcherCall(matcher_, cover_);
+}
+
+TEST(MmpMatcherCallsTest, ExactOnABibCorpus) {
+  const auto dataset =
+      data::GenerateBibDataset(data::BibConfig::HepthLike(0.3));
+  const Cover cover = BuildCanopyCover(*dataset);
+  const mln::MlnMatcher matcher(*dataset);
+  ExpectMmpCountsEveryMatcherCall(matcher, cover);
 }
 
 TEST_F(Figure1Mp, MmpWithoutMergeMissesTheChain) {
