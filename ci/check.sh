@@ -4,14 +4,15 @@
 # self-containment + format check + bench smoke runs + a bench regression
 # gate (tracked counters diffed against the blessed baselines committed
 # under bench/baselines/) + a wall-time stage (informational by default,
-# gating under CEM_CI_GATE_WALL=1), an AddressSanitizer build re-running
-# the tier-1 suite, and a ThreadSanitizer build re-running the
+# gating under CEM_CI_GATE_WALL=1), an AddressSanitizer +
+# UndefinedBehaviorSanitizer build re-running the tier-1 suite (undefined
+# behaviour aborts the test), and a ThreadSanitizer build re-running the
 # concurrency-labeled suites, plus a build of the repository benchmark
 # (perfbench/) and its self-tests. Run from anywhere; a fresh checkout
 # passes end-to-end using only the committed baselines.
 #
 # Knobs:
-#   CEM_CI_SKIP_ASAN=1    skip the AddressSanitizer stage
+#   CEM_CI_SKIP_ASAN=1    skip the AddressSanitizer + UBSan stage
 #   CEM_CI_SKIP_TSAN=1    skip the ThreadSanitizer stage
 #   BENCH_BASELINE_DIR    override where the blessed baseline reports live
 #                         (default: bench/baselines; bless new ones with
@@ -235,23 +236,23 @@ grep -q '"query_id"' "${OBS_DIR}/slowlog.json" || {
 }
 
 if [[ "${CEM_CI_SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== ASAN configure (${ASAN_BUILD_DIR})"
+  echo "== ASAN+UBSAN configure (${ASAN_BUILD_DIR})"
   cmake -B "${ASAN_BUILD_DIR}" -S "${REPO_ROOT}" \
-    -DCEM_SANITIZE=address -DCEM_BUILD_BENCH=OFF -DCEM_BUILD_EXAMPLES=OFF \
-    "${CMAKE_EXTRA_ARGS[@]}"
+    -DCEM_SANITIZE="address;undefined" -DCEM_BUILD_BENCH=OFF \
+    -DCEM_BUILD_EXAMPLES=OFF "${CMAKE_EXTRA_ARGS[@]}"
 
-  echo "== ASAN build (-j${JOBS})"
+  echo "== ASAN+UBSAN build (-j${JOBS})"
   cmake --build "${ASAN_BUILD_DIR}" -j "${JOBS}"
 
-  echo "== ASAN ctest -L tier1"
+  echo "== ASAN+UBSAN ctest -L tier1"
   ctest --test-dir "${ASAN_BUILD_DIR}" -L tier1 -j "${JOBS}" --output-on-failure
 
   # The crash-recovery suite is the one place the code deliberately reads
   # torn, flipped and truncated bytes back in; re-run it on its own under
-  # ASAN (binaries invoked directly — ctest's discovered names are
+  # ASAN+UBSAN (binaries invoked directly — ctest's discovered names are
   # Suite.Case and would not match a -R on the binary name) so a decoder
   # overrun can never hide behind a flaky tier-1 shard.
-  echo "== ASAN crash-recovery suite"
+  echo "== ASAN+UBSAN crash-recovery suite"
   "${ASAN_BUILD_DIR}/persist_test"
   "${ASAN_BUILD_DIR}/crash_recovery_test"
 fi
