@@ -439,9 +439,8 @@ std::vector<LegacyGroundNode> LegacyGroundPairGraph(
   return nodes;
 }
 
-/// A finalized copy of `source` — same entities under the same ids, same
-/// Authored and Cites tuples — without candidate pairs, so
-/// BuildCandidatePairs can run on it.
+/// A finalized dataset with `source`'s entities under the same ids and no
+/// relations or candidate pairs: all BuildCandidatePairs reads.
 std::unique_ptr<data::Dataset> WithoutCandidatePairs(
     const data::Dataset& source) {
   auto out = std::make_unique<data::Dataset>();
@@ -450,17 +449,6 @@ std::unique_ptr<data::Dataset> WithoutCandidatePairs(
       out->AddAuthorRef(e.first_name, e.last_name, e.truth);
     } else {
       out->AddPaper(e.title, e.year, e.truth);
-    }
-  }
-  for (const data::Entity& e : source.entities()) {
-    if (e.type == data::EntityType::kAuthorRef) {
-      for (data::EntityId paper : source.authored().Neighbors(e.id)) {
-        out->AddAuthored(e.id, paper);
-      }
-    } else {
-      for (data::EntityId cited : source.cites().Neighbors(e.id)) {
-        out->AddCites(e.id, cited);
-      }
     }
   }
   out->Finalize();
