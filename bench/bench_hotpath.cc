@@ -3,7 +3,7 @@
 // loop, the MLN model build of a streamed neighborhood and the set-up
 // stages before the first evaluation.
 //
-// Six tables, one per pipeline stage, each comparing the historical
+// Six of the seven tables, one per pipeline stage, compare the historical
 // implementation (heap token strings, per-call scalar loops, a copy of M+
 // per hypothesis — replicated inline below so the baseline survives the
 // refactor it measures) against the current hot path:
@@ -17,6 +17,10 @@
 //  * mmp      — sequential MMP (Algorithm 3) with the historical
 //    COMPUTEMAXIMAL (one copy of M+ per hypothesis) and full-sweep step 7
 //    vs core::RunMmp, same MLN matcher (seconds per run, speedup);
+//  * schemes  — no legacy side: RunSmp, RunMmpWithoutMerge and RunGrid
+//    (SMP and MMP, 4 simulated machines) on the mmp corpus, each grid run
+//    checked against its sequential driver's matches (rounds, evaluations,
+//    seconds per run);
 //  * induced_model — the binary-search model builder vs the bitmap
 //    mln::BuildInducedModel over every neighborhood of a streamed cover
 //    (seconds per sweep, speedup);
@@ -37,7 +41,9 @@
 // counter parity — so the folded-in counter_* values are a pure function
 // of the scale and gate via bench_diff on any host. The MMP corpus is built
 // with canopy blocking explicitly (never via CEM_BLOCKING), and its
-// counter_mmp_* / counter_mln_* values pin the work message passing does.
+// counter_mmp_* / counter_mln_* values pin the work message passing does;
+// counter_smp_*, counter_mmp_nomerge_* and counter_grid_* pin the work of
+// the other drivers on it.
 // The streamed cover comes from a fixed arrival order, so the
 // counter_mln_induced_* sums are a pure function of the scale too. The
 // set-up corpus is built with LSH blocking explicitly, and its
@@ -66,6 +72,7 @@
 #include "blocking/minhash.h"
 #include "blocking/minhash_simd.h"
 #include "core/cover.h"
+#include "core/grid_executor.h"
 #include "core/match_set.h"
 #include "core/matcher.h"
 #include "core/maximal_message.h"
@@ -809,6 +816,68 @@ int main() {
                 static_cast<double>(mln_matcher.num_runs()));
   report.Metric("counter_mln_free_variables",
                 static_cast<double>(mln_matcher.total_free_variables()));
+
+  // --- schemes --------------------------------------------------------------
+  // The other message-passing drivers on the same corpus: sequential SMP,
+  // MMP without message merging, and the round-parallel grid (Section 6.3)
+  // under SMP and MMP at 4 simulated machines on the bench's one-thread
+  // pool. Each grid run must reach its sequential driver's match set. They
+  // share a second MLN matcher, so counter_mln_* keep describing RunMmp.
+  const mln::MlnMatcher scheme_matcher(*hepth.dataset);
+  core::MpResult smp;
+  const double smp_s = TimeBest(
+      kMmpReps, [&] { smp = core::RunSmp(scheme_matcher, hepth.cover); });
+  core::MpResult nomerge;
+  const double nomerge_s = TimeBest(kMmpReps, [&] {
+    nomerge = core::RunMmpWithoutMerge(scheme_matcher, hepth.cover);
+  });
+  const auto time_grid = [&](core::MpScheme scheme, core::GridResult& out) {
+    core::GridOptions options;
+    options.scheme = scheme;
+    options.num_machines = 4;
+    options.context = &ctx;
+    return TimeBest(kMmpReps, [&] {
+      out = core::RunGrid(scheme_matcher, hepth.cover, options);
+    });
+  };
+  core::GridResult grid_smp;
+  core::GridResult grid_mmp;
+  const double grid_smp_s = time_grid(core::MpScheme::kSmp, grid_smp);
+  const double grid_mmp_s = time_grid(core::MpScheme::kMmp, grid_mmp);
+  CEM_CHECK(grid_smp.matches == smp.matches)
+      << "RunGrid SMP diverged from RunSmp's matches";
+  CEM_CHECK(grid_mmp.matches == mmp.matches)
+      << "RunGrid MMP diverged from RunMmp's matches";
+
+  TableWriter schemes_table(
+      {"driver", "rounds", "evaluations", "matches", "s/run"});
+  const auto scheme_row = [&](const std::string& name,
+                              const std::string& rounds, size_t evaluations,
+                              const core::MatchSet& matches, double seconds) {
+    schemes_table.AddRow({name, rounds, std::to_string(evaluations),
+                          std::to_string(matches.size()),
+                          TableWriter::Num(seconds, 4)});
+  };
+  scheme_row("RunSmp", "-", smp.neighborhood_evaluations, smp.matches, smp_s);
+  scheme_row("RunMmpWithoutMerge", "-", nomerge.neighborhood_evaluations,
+             nomerge.matches, nomerge_s);
+  scheme_row("RunGrid SMP, 4 machines", std::to_string(grid_smp.rounds),
+             grid_smp.neighborhood_evaluations, grid_smp.matches, grid_smp_s);
+  scheme_row("RunGrid MMP, 4 machines", std::to_string(grid_mmp.rounds),
+             grid_mmp.neighborhood_evaluations, grid_mmp.matches, grid_mmp_s);
+  report.Table("schemes", schemes_table);
+  report.Metric("counter_smp_evaluations",
+                static_cast<double>(smp.neighborhood_evaluations));
+  report.Metric("counter_mmp_nomerge_evaluations",
+                static_cast<double>(nomerge.neighborhood_evaluations));
+  report.Metric("counter_grid_smp_rounds",
+                static_cast<double>(grid_smp.rounds));
+  report.Metric("counter_grid_smp_evaluations",
+                static_cast<double>(grid_smp.neighborhood_evaluations));
+  report.Metric("counter_grid_mmp_rounds",
+                static_cast<double>(grid_mmp.rounds));
+  report.Metric("counter_grid_mmp_evaluations",
+                static_cast<double>(grid_mmp.neighborhood_evaluations));
 
   // --- induced_model --------------------------------------------------------
   // The model build of a streaming drain evaluation: the same HEPTH-like
