@@ -1,3 +1,7 @@
+#include <optional>
+#include <string>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "core/grid_executor.h"
@@ -7,6 +11,7 @@
 #include "eval/experiment.h"
 #include "mln/mln_matcher.h"
 #include "rules/rules_matcher.h"
+#include "util/execution_context.h"
 
 namespace cem::core {
 namespace {
@@ -106,6 +111,52 @@ TEST(GridTest, RulesMatcherOnGrid) {
   const GridResult grid = RunGrid(matcher, cover, options);
   EXPECT_EQ(grid.matches, RunSmp(matcher, cover).matches);
 }
+
+/// The real pool size must not change RunGrid's work: on the canopy
+/// workloads, matches, rounds and evaluations are identical on pools of 1,
+/// 2 and 4 threads, and the matches are the sequential driver's.
+class GridAcrossPools : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(GridAcrossPools, WorkIsIdenticalAcrossPoolSizes) {
+  const bool hepth = std::string_view(GetParam()) == "hepth";
+  const eval::Workload workload =
+      hepth ? eval::MakeHepthWorkload(0.3, BlockingStrategy::kCanopy)
+            : eval::MakeDblpWorkload(0.3, BlockingStrategy::kCanopy);
+  const mln::MlnMatcher matcher(*workload.dataset);
+  const ExecutionContext pools[] = {ExecutionContext(1), ExecutionContext(2),
+                                    ExecutionContext(4)};
+  for (MpScheme scheme : {MpScheme::kSmp, MpScheme::kMmp}) {
+    const MatchSet sequential = scheme == MpScheme::kSmp
+                                    ? RunSmp(matcher, workload.cover).matches
+                                    : RunMmp(matcher, workload.cover).matches;
+    std::optional<GridResult> first;
+    for (const ExecutionContext& ctx : pools) {
+      GridOptions options;
+      options.scheme = scheme;
+      options.num_machines = 4;
+      options.context = &ctx;
+      const GridResult grid = RunGrid(matcher, workload.cover, options);
+      const std::string where = std::string(MpSchemeName(scheme)) + " on " +
+                                std::to_string(ctx.num_threads()) +
+                                " threads";
+      EXPECT_EQ(grid.matches, sequential) << where;
+      if (!first.has_value()) {
+        first = grid;
+        continue;
+      }
+      EXPECT_EQ(grid.rounds, first->rounds) << where;
+      EXPECT_EQ(grid.neighborhood_evaluations,
+                first->neighborhood_evaluations)
+          << where;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CanopyWorkloads, GridAcrossPools, ::testing::Values("hepth", "dblp"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 TEST(GridTest, SchemeNames) {
   EXPECT_STREQ(MpSchemeName(MpScheme::kNoMp), "NO-MP");
