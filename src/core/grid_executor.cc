@@ -1,12 +1,10 @@
 #include "core/grid_executor.h"
 
 #include <algorithm>
-#include <memory>
+#include <numeric>
 #include <vector>
 
-#include "core/maximal_message.h"
 #include "core/neighbor_index.h"
-#include "util/execution_context.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -14,13 +12,6 @@
 
 namespace cem::core {
 namespace {
-
-/// Output of one map task (one neighborhood run).
-struct MapOutput {
-  MatchSet matches;
-  std::vector<MaximalMessage> messages;  // MMP only.
-  double seconds = 0.0;
-};
 
 /// Makespan of assigning `task_seconds` randomly to `machines` machines.
 double SimulatedMakespan(const std::vector<double>& task_seconds,
@@ -34,107 +25,51 @@ double SimulatedMakespan(const std::vector<double>& task_seconds,
 
 }  // namespace
 
-const char* MpSchemeName(MpScheme scheme) {
-  switch (scheme) {
-    case MpScheme::kNoMp:
-      return "NO-MP";
-    case MpScheme::kSmp:
-      return "SMP";
-    case MpScheme::kMmp:
-      return "MMP";
-  }
-  return "?";
-}
-
 GridResult RunGrid(const Matcher& matcher, const Cover& cover,
                    const GridOptions& options) {
-  const auto* probabilistic =
-      dynamic_cast<const ProbabilisticMatcher*>(&matcher);
-  if (options.scheme == MpScheme::kMmp) {
-    CEM_CHECK(probabilistic != nullptr)
-        << "MMP requires a Type-II (probabilistic) matcher";
-  }
-
   Timer wall;
   GridResult result;
+  MpEngine engine(matcher, options.scheme, result.matches);
   Rng rng(options.seed);
   NeighborIndex index(cover);
-  // 0 workers = the caller's context pool (one pool for the whole pipeline
-  // instead of one per RunGrid call); an explicit count gets a dedicated
-  // pool.
-  std::unique_ptr<ThreadPool> own_pool;
-  if (options.num_worker_threads > 0) {
-    own_pool = std::make_unique<ThreadPool>(options.num_worker_threads);
-  }
-  ThreadPool& pool = own_pool != nullptr ? *own_pool
-                     : options.context != nullptr
+  ThreadPool& pool = options.context != nullptr
                          ? options.context->pool()
                          : ExecutionContext::Default().pool();
-  const size_t max_rounds =
-      options.max_rounds > 0 ? options.max_rounds : cover.size() + 8;
+  const size_t cap = EvaluationCap(cover.size(), cover.MaxNeighborhoodSize());
 
   // Initial active set: every neighborhood.
   std::vector<uint32_t> active(cover.size());
-  for (uint32_t i = 0; i < cover.size(); ++i) active[i] = i;
+  std::iota(active.begin(), active.end(), 0u);
 
-  MatchSet matched;            // M+, updated only in reduce steps.
-  MaximalMessageSet messages;  // T (MMP only).
-
-  while (!active.empty() && result.rounds < max_rounds) {
+  while (!active.empty()) {
+    if (engine.evaluations() >= cap) {
+      CEM_LOG(Warning) << "grid evaluation cap reached (" << cap
+                       << "); matcher may not be well-behaved";
+      break;
+    }
     ++result.rounds;
 
     // ---- Map: run every active neighborhood against the round-start
-    // snapshot, in parallel.
-    std::vector<MapOutput> outputs(active.size());
+    // evidence, in parallel.
+    std::vector<MpEngine::Evaluation> outputs(active.size());
+    std::vector<double> task_seconds(active.size());
     ParallelFor(pool, active.size(), [&](size_t i) {
       Timer task_timer;
-      const std::vector<data::EntityId>& entities =
-          cover.neighborhood(active[i]).entities;
-      outputs[i].matches = matcher.Match(entities, matched);
-      if (options.scheme == MpScheme::kMmp) {
-        outputs[i].messages =
-            ComputeMaximal(matcher, entities, matched, outputs[i].matches);
-      }
-      outputs[i].seconds = task_timer.ElapsedSeconds();
+      outputs[i] = engine.Evaluate(cover.neighborhood(active[i]).entities);
+      task_seconds[i] = task_timer.ElapsedSeconds();
     });
-    result.neighborhood_evaluations += active.size();
-
-    // ---- Simulated grid time for this round.
-    std::vector<double> task_seconds(outputs.size());
-    for (size_t i = 0; i < outputs.size(); ++i) {
-      task_seconds[i] = outputs[i].seconds;
-    }
     result.simulated_seconds +=
         SimulatedMakespan(task_seconds, options.num_machines, rng) +
         options.per_round_overhead_seconds;
 
-    if (options.scheme == MpScheme::kNoMp) {
-      // NO-MP: one round, plain union, no re-activation.
-      for (const MapOutput& out : outputs) matched.InsertAll(out.matches);
-      break;
-    }
-
-    // ---- Reduce: merge evidence, promote messages, compute next round.
-    std::vector<data::EntityPair> new_matches;
-    for (const MapOutput& out : outputs) {
-      for (const data::EntityPair& p : out.matches.Difference(matched)) {
-        new_matches.push_back(p);
-      }
-      matched.InsertAll(out.matches);
-    }
-    if (options.scheme == MpScheme::kMmp) {
-      const uint32_t first_fresh = messages.next_id();
-      for (const MapOutput& out : outputs) {
-        for (const MaximalMessage& m : out.messages) messages.Insert(m);
-      }
-      PromoteSoundMessages(*probabilistic, messages, first_fresh, matched,
-                           new_matches);
-    }
-
+    // ---- Reduce: merge evidence (and promote messages), then compute the
+    // next round. NO-MP is one round with no re-activation.
+    const std::vector<data::EntityPair> new_matches = engine.Fold(outputs);
+    if (options.scheme == MpScheme::kNoMp) break;
     active = index.AffectedBy(new_matches);
   }
 
-  result.matches = std::move(matched);
+  result.neighborhood_evaluations = engine.evaluations();
   result.wall_seconds = wall.ElapsedSeconds();
   return result;
 }

@@ -7,13 +7,9 @@
 #include "core/cover.h"
 #include "core/match_set.h"
 #include "core/matcher.h"
+#include "core/message_passing.h"
 
 namespace cem::core {
-
-/// Message-passing scheme run by the grid executor.
-enum class MpScheme { kNoMp = 0, kSmp = 1, kMmp = 2 };
-
-const char* MpSchemeName(MpScheme scheme);
 
 /// Options of the round-based parallel executor (Section 6.3). The paper
 /// runs the framework on a Hadoop grid: each round is one Map (run EM on
@@ -36,17 +32,10 @@ struct GridOptions {
   double per_round_overhead_seconds = 0.0;
   /// Seed for the random neighborhood -> machine assignment.
   uint64_t seed = 123;
-  /// Real worker threads executing the tasks. 0 = run on `context`'s pool
-  /// (or the process-wide shared pool when that is null too, sized by
-  /// CEM_THREADS); otherwise a dedicated pool of this size is spun up for
-  /// the run.
-  uint32_t num_worker_threads = 0;
-  /// Execution context whose pool runs the map tasks when
-  /// num_worker_threads is 0 — lets drivers reuse the one pool that
-  /// already ran the blocking front-end. Null = ExecutionContext::Default().
+  /// Execution context whose pool runs the map tasks — lets drivers reuse
+  /// the one pool that already ran the blocking front-end. Null =
+  /// ExecutionContext::Default() (workers from CEM_THREADS).
   const ExecutionContext* context = nullptr;
-  /// Safety cap on rounds (0 = number of neighborhoods + 8).
-  size_t max_rounds = 0;
 };
 
 /// Result of a grid run.
@@ -61,7 +50,8 @@ struct GridResult {
   double simulated_seconds = 0.0;
 };
 
-/// Runs `scheme` on `cover` round-parallel. For kMmp the matcher must be a
+/// Runs `scheme` on `cover` round-parallel on an MpEngine (map = Evaluate,
+/// reduce = Fold in active-set order). For kMmp the matcher must be a
 /// ProbabilisticMatcher. By the schemes' consistency property the final
 /// match set equals the sequential drivers' output.
 GridResult RunGrid(const Matcher& matcher, const Cover& cover,

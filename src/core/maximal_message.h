@@ -58,10 +58,8 @@ class MaximalMessageSet {
   /// The id the next Insert will return.
   uint32_t next_id() const { return static_cast<uint32_t>(messages_.size()); }
 
-  /// Removes all pairs of `matched` from every message: once a pair is
-  /// known true, every message containing it is entirely true (Definition
-  /// 8), so callers should first Extract such messages via
-  /// FindIntersecting. This method is for discarding them afterwards.
+  /// Retires the live message `id` (e.g. once step 7 promoted it) and
+  /// drops its pairs' ownership, so FindIntersecting no longer reports it.
   void RemoveMessage(uint32_t id);
 
   /// Ids, ascending and unique, of the live messages holding any of

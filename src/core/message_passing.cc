@@ -1,8 +1,8 @@
 #include "core/message_passing.h"
 
-#include <deque>
+#include <algorithm>
+#include <iterator>
 
-#include "core/maximal_message.h"
 #include "core/neighbor_index.h"
 #include "util/logging.h"
 #include "util/timer.h"
@@ -10,121 +10,160 @@
 namespace cem::core {
 namespace {
 
-/// FIFO active set with set semantics (a neighborhood queued twice runs
-/// once): Algorithm 1/3's A.
-class ActiveSet {
- public:
-  explicit ActiveSet(size_t n) : queued_(n, false) {}
-
-  void Push(uint32_t id) {
-    if (!queued_[id]) {
-      queued_[id] = true;
-      queue_.push_back(id);
-    }
-  }
-
-  bool empty() const { return queue_.empty(); }
-
-  uint32_t Pop() {
-    const uint32_t id = queue_.front();
-    queue_.pop_front();
-    queued_[id] = false;
-    return id;
-  }
-
- private:
-  std::deque<uint32_t> queue_;
-  std::vector<bool> queued_;
-};
-
-size_t DefaultEvaluationCap(const Cover& cover, size_t configured) {
-  if (configured > 0) return configured;
-  const size_t k = cover.MaxNeighborhoodSize();
-  // Theoretical bound n * k^2 (Theorem 3), floored generously.
-  return cover.size() * std::max<size_t>(k * k, 16) + 64;
-}
-
-void SeedActiveSet(ActiveSet& active, const Cover& cover,
-                   const MpOptions& options) {
+/// SMP and both MMP variants: seed the active set with `initial_order`,
+/// then 0..n-1, and drain it over the cover's NeighborIndex.
+MpResult RunSequential(const Matcher& matcher, const Cover& cover,
+                       const MpOptions& options, MpScheme scheme,
+                       bool merge_messages = true) {
+  Timer timer;
+  MpResult result;
+  MpEngine engine(matcher, scheme, result.matches, merge_messages);
+  const NeighborIndex index(cover);
+  ActiveSet active;
   for (uint32_t id : options.initial_order) {
     if (id < cover.size()) active.Push(id);
   }
   for (uint32_t id = 0; id < cover.size(); ++id) active.Push(id);
-}
-
-MpResult RunMmpImpl(const ProbabilisticMatcher& matcher, const Cover& cover,
-                    const MpOptions& options, bool merge_messages) {
-  Timer timer;
-  MpResult result;
-  NeighborIndex index(cover);
-  ActiveSet active(cover.size());
-  SeedActiveSet(active, cover, options);
-  const size_t cap = DefaultEvaluationCap(cover, options.max_evaluations);
-
-  MatchSet& matched = result.matches;  // M+
-  MaximalMessageSet messages;          // T
-
-  while (!active.empty()) {
-    if (result.neighborhood_evaluations >= cap) {
-      CEM_LOG(Warning) << "MMP evaluation cap reached (" << cap
-                       << "); matcher may not be well-behaved";
-      break;
-    }
-    const uint32_t c = active.Pop();
-    ++result.neighborhood_evaluations;
-    const std::vector<data::EntityId>& entities =
-        cover.neighborhood(c).entities;
-
-    // Step 5: direct matches and maximal messages of this neighborhood.
-    const MatchSet mc = matcher.Match(entities, matched);
-    size_t conditioned_calls = 0;
-    const std::vector<MaximalMessage> tc =
-        ComputeMaximal(matcher, entities, matched, mc, &conditioned_calls);
-    result.matcher_calls += 1 + conditioned_calls;
-    result.messages_created += tc.size();
-
-    // Step 6: M+ ∪= MC ; T = (T ∪ TC)*.
-    std::vector<data::EntityPair> new_matches = mc.Difference(matched);
-    matched.InsertAll(mc);
-    if (merge_messages) {
-      const uint32_t first_fresh = messages.next_id();
-      for (const MaximalMessage& m : tc) messages.Insert(m);
-      // Step 7: promote sound messages until fixpoint.
-      result.messages_promoted += PromoteSoundMessages(
-          matcher, messages, first_fresh, matched, new_matches);
-    } else {
-      for (const MaximalMessage& m : tc) {
-        // Ablation: no merge — insert each message as its own island by
-        // testing it immediately and dropping it afterwards.
-        const double delta = matcher.ScoreDelta(matched, m);
-        if (delta >= -kScoreEps) {
-          for (const data::EntityPair& p : m) {
-            if (matched.Insert(p)) new_matches.push_back(p);
-          }
-          ++result.messages_promoted;
-        }
-      }
-    }
-
-    // Step 8: re-activate the neighborhoods affected by anything new.
-    // The just-run neighborhood is skipped: by idempotence it cannot add
-    // anything to its own output.
-    for (uint32_t affected : index.AffectedBy(new_matches)) {
-      if (affected != c) active.Push(affected);
-    }
-  }
-
+  const size_t cap =
+      options.max_evaluations > 0
+          ? options.max_evaluations
+          : EvaluationCap(cover.size(), cover.MaxNeighborhoodSize());
+  engine.Drain(
+      cover, active,
+      [&index](data::EntityId e) -> const std::vector<uint32_t>& {
+        return index.NeighborhoodsOf(e);
+      },
+      cap);
+  result.neighborhood_evaluations = engine.evaluations();
+  result.matcher_calls = engine.matcher_calls();
+  result.messages_created = engine.messages_created();
+  result.messages_promoted = engine.messages_promoted();
   result.seconds = timer.ElapsedSeconds();
   return result;
 }
 
 }  // namespace
 
+const char* MpSchemeName(MpScheme scheme) {
+  switch (scheme) {
+    case MpScheme::kNoMp:
+      return "NO-MP";
+    case MpScheme::kSmp:
+      return "SMP";
+    case MpScheme::kMmp:
+      return "MMP";
+  }
+  return "?";
+}
+
+size_t EvaluationCap(size_t n, size_t k) {
+  return n * std::max<size_t>(k * k, 16) + 64;
+}
+
+std::vector<uint32_t> AffectedBy(const HomesOf& homes_of,
+                                 std::span<const data::EntityPair> pairs) {
+  std::vector<uint32_t> out;
+  for (const data::EntityPair& p : pairs) {
+    const std::vector<uint32_t>& in_a = homes_of(p.a);
+    const std::vector<uint32_t>& in_b = homes_of(p.b);
+    std::set_intersection(in_a.begin(), in_a.end(), in_b.begin(), in_b.end(),
+                          std::back_inserter(out));
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+MpEngine::MpEngine(const Matcher& matcher, MpScheme scheme, MatchSet& matched,
+                   bool merge_messages)
+    : matcher_(matcher), merge_messages_(merge_messages), matched_(matched) {
+  if (scheme == MpScheme::kMmp) {
+    probabilistic_ = dynamic_cast<const ProbabilisticMatcher*>(&matcher);
+    CEM_CHECK(probabilistic_ != nullptr)
+        << "MMP requires a Type-II (probabilistic) matcher";
+  }
+}
+
+MpEngine::Evaluation MpEngine::Evaluate(
+    const std::vector<data::EntityId>& entities) const {
+  Evaluation out;
+  out.matches = matcher_.Match(entities, matched_);
+  size_t conditioned_calls = 0;
+  if (probabilistic_ != nullptr) {
+    out.messages = ComputeMaximal(matcher_, entities, matched_, out.matches,
+                                  &conditioned_calls);
+  }
+  out.matcher_calls = 1 + conditioned_calls;
+  return out;
+}
+
+std::vector<data::EntityPair> MpEngine::Fold(
+    std::span<const Evaluation> evaluations) {
+  // Step 6: M+ ∪= MC for every evaluation.
+  std::vector<data::EntityPair> new_matches;
+  for (const Evaluation& e : evaluations) {
+    ++evaluations_;
+    matcher_calls_ += e.matcher_calls;
+    messages_created_ += e.messages.size();
+    const std::vector<data::EntityPair> fresh = e.matches.Difference(matched_);
+    if (fresh.empty()) continue;
+    new_matches.insert(new_matches.end(), fresh.begin(), fresh.end());
+    matched_.InsertAll(e.matches);
+  }
+  if (probabilistic_ == nullptr) return new_matches;
+
+  if (merge_messages_) {
+    // T = (T ∪ TC)*, then step 7: promote sound messages until fixpoint.
+    const uint32_t first_fresh = messages_.next_id();
+    for (const Evaluation& e : evaluations) {
+      for (const MaximalMessage& m : e.messages) messages_.Insert(m);
+    }
+    messages_promoted_ += PromoteSoundMessages(
+        *probabilistic_, messages_, first_fresh, matched_, new_matches);
+    return new_matches;
+  }
+  // Ablation: no merge — each message is its own island, tested once and
+  // dropped.
+  for (const Evaluation& e : evaluations) {
+    for (const MaximalMessage& m : e.messages) {
+      if (probabilistic_->ScoreDelta(matched_, m) < -kScoreEps) continue;
+      for (const data::EntityPair& p : m) {
+        if (matched_.Insert(p)) new_matches.push_back(p);
+      }
+      ++messages_promoted_;
+    }
+  }
+  return new_matches;
+}
+
+void MpEngine::Drain(const Cover& cover, ActiveSet& active,
+                     const HomesOf& homes_of, size_t cap,
+                     const OnEvaluate& on_evaluate) {
+  for (size_t evaluations = 0; !active.empty(); ++evaluations) {
+    if (evaluations >= cap) {
+      CEM_LOG(Warning) << "message-passing evaluation cap reached (" << cap
+                       << "); matcher may not be well-behaved";
+      return;
+    }
+    const uint32_t c = active.Pop();
+    const Evaluation evaluation = Evaluate(cover.neighborhood(c).entities);
+    if (on_evaluate) on_evaluate(c, evaluation);
+    // Step 8: re-activate the neighborhoods affected by anything new.
+    for (uint32_t affected :
+         AffectedBy(homes_of, Fold({&evaluation, 1}))) {
+      if (affected != c) active.Push(affected);
+    }
+  }
+}
+
 MpResult RunNoMp(const Matcher& matcher, const Cover& cover) {
   Timer timer;
   MpResult result;
+  // NO-MP never folds before evaluating, so every run sees no evidence.
+  MatchSet no_evidence;
+  const MpEngine engine(matcher, MpScheme::kNoMp, no_evidence);
   for (const Neighborhood& n : cover.neighborhoods()) {
-    result.matches.InsertAll(matcher.Match(n.entities));
+    result.matches.InsertAll(engine.Evaluate(n.entities).matches);
     ++result.neighborhood_evaluations;
     ++result.matcher_calls;
   }
@@ -134,43 +173,18 @@ MpResult RunNoMp(const Matcher& matcher, const Cover& cover) {
 
 MpResult RunSmp(const Matcher& matcher, const Cover& cover,
                 const MpOptions& options) {
-  Timer timer;
-  MpResult result;
-  NeighborIndex index(cover);
-  ActiveSet active(cover.size());
-  SeedActiveSet(active, cover, options);
-  const size_t cap = DefaultEvaluationCap(cover, options.max_evaluations);
-
-  MatchSet& matched = result.matches;  // M+
-  while (!active.empty()) {
-    if (result.neighborhood_evaluations >= cap) {
-      CEM_LOG(Warning) << "SMP evaluation cap reached (" << cap
-                       << "); matcher may not be well-behaved";
-      break;
-    }
-    const uint32_t c = active.Pop();
-    ++result.neighborhood_evaluations;
-    ++result.matcher_calls;
-    const MatchSet mc = matcher.Match(cover.neighborhood(c).entities, matched);
-    const std::vector<data::EntityPair> new_matches = mc.Difference(matched);
-    if (new_matches.empty()) continue;
-    matched.InsertAll(mc);
-    for (uint32_t affected : index.AffectedBy(new_matches)) {
-      if (affected != c) active.Push(affected);
-    }
-  }
-  result.seconds = timer.ElapsedSeconds();
-  return result;
+  return RunSequential(matcher, cover, options, MpScheme::kSmp);
 }
 
 MpResult RunMmp(const ProbabilisticMatcher& matcher, const Cover& cover,
                 const MpOptions& options) {
-  return RunMmpImpl(matcher, cover, options, /*merge_messages=*/true);
+  return RunSequential(matcher, cover, options, MpScheme::kMmp);
 }
 
 MpResult RunMmpWithoutMerge(const ProbabilisticMatcher& matcher,
                             const Cover& cover, const MpOptions& options) {
-  return RunMmpImpl(matcher, cover, options, /*merge_messages=*/false);
+  return RunSequential(matcher, cover, options, MpScheme::kMmp,
+                       /*merge_messages=*/false);
 }
 
 }  // namespace cem::core

@@ -1,6 +1,6 @@
 #include "core/neighbor_index.h"
 
-#include <algorithm>
+#include "core/message_passing.h"
 
 namespace cem::core {
 
@@ -24,16 +24,11 @@ const std::vector<uint32_t>& NeighborIndex::NeighborhoodsOf(
 
 std::vector<uint32_t> NeighborIndex::AffectedBy(
     const std::vector<data::EntityPair>& pairs) const {
-  std::vector<uint32_t> out;
-  for (const data::EntityPair& p : pairs) {
-    const std::vector<uint32_t>& in_a = NeighborhoodsOf(p.a);
-    const std::vector<uint32_t>& in_b = NeighborhoodsOf(p.b);
-    std::set_intersection(in_a.begin(), in_a.end(), in_b.begin(), in_b.end(),
-                          std::back_inserter(out));
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  return core::AffectedBy(
+      [this](data::EntityId e) -> const std::vector<uint32_t>& {
+        return NeighborhoodsOf(e);
+      },
+      pairs);
 }
 
 }  // namespace cem::core

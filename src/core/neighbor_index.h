@@ -24,7 +24,8 @@ class NeighborIndex {
   /// Neighborhood ids containing entity `e` (sorted).
   const std::vector<uint32_t>& NeighborhoodsOf(data::EntityId e) const;
 
-  /// Neighborhood ids affected by any of `pairs` (sorted, unique).
+  /// Neighborhood ids affected by any of `pairs` (sorted, unique):
+  /// core::AffectedBy over this index.
   std::vector<uint32_t> AffectedBy(
       const std::vector<data::EntityPair>& pairs) const;
 

@@ -1,6 +1,5 @@
 #include "stream/streaming_matcher.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -28,18 +27,12 @@ StreamingMatcher::StreamingMatcher(const core::Matcher& matcher,
                                    const StreamingOptions& options)
     : matcher_(matcher),
       options_(options),
-      icover_(matcher.dataset(), options.cover, Resolve(options)) {}
-
-void StreamingMatcher::Activate(uint32_t n) {
-  if (n >= queued_.size()) queued_.resize(n + 1, 0);
-  if (queued_[n]) return;
-  queued_[n] = 1;
-  active_.push_back(n);
-}
+      icover_(matcher.dataset(), options.cover, Resolve(options)),
+      engine_(matcher, core::MpScheme::kSmp, matches_) {}
 
 void StreamingMatcher::Add(data::EntityId ref) {
   const std::vector<uint32_t> dirty = icover_.Insert(ref);
-  for (uint32_t n : dirty) Activate(n);
+  for (uint32_t n : dirty) active_.Push(n);
   RecordInsert(dirty.size());
   Drain();
   MaybePublishMetrics();
@@ -58,7 +51,7 @@ void StreamingMatcher::AddBatch(const std::vector<data::EntityId>& refs) {
   for (size_t i = 0; i < refs.size(); ++i) {
     const std::vector<uint32_t> dirty =
         icover_.Insert(refs[i], std::move(signatures[i]));
-    for (uint32_t n : dirty) Activate(n);
+    for (uint32_t n : dirty) active_.Push(n);
     RecordInsert(dirty.size());
   }
   Drain();
@@ -107,7 +100,6 @@ Status StreamingMatcher::RestoreState(StreamingMatcherState state) {
     }
   }
   matching_stats_ = state.matching;
-  queued_.assign(icover_.cover().size(), 0);
   return OkStatus();
 }
 
@@ -120,56 +112,18 @@ void StreamingMatcher::Drain() {
   const size_t evaluations_before = matching_stats_.neighborhood_evaluations;
   const size_t rescored_before = matching_stats_.pairs_rescored;
   const core::Cover& cover = icover_.cover();
-  // Safety cap, mirroring core::RunSmp: convergence is guaranteed for
-  // well-behaved matchers; the cap only guards buggy custom matchers.
-  // The incrementally maintained k keeps this O(1) per drain.
-  size_t cap = options_.max_evaluations;
-  if (cap == 0) {
-    const size_t k = icover_.max_neighborhood_size();
-    cap = cover.size() * std::max<size_t>(k * k, 16) + 64;
-  }
-  size_t evaluations = 0;
-  while (!active_.empty()) {
-    if (evaluations >= cap) {
-      CEM_LOG(Warning) << "streaming drain cap reached (" << cap
-                       << "); matcher may not be well-behaved";
-      break;
-    }
-    const uint32_t c = active_.front();
-    active_.pop_front();
-    queued_[c] = 0;
-    ++evaluations;
-    ++matching_stats_.neighborhood_evaluations;
-    ++matching_stats_.matcher_calls;
-    matching_stats_.pairs_rescored += icover_.inside_pairs(c);
-    const core::MatchSet mc =
-        matcher_.Match(cover.neighborhood(c).entities, matches_);
-    const std::vector<data::EntityPair> new_matches =
-        mc.Difference(matches_);
-    if (new_matches.empty()) continue;
-    matches_.InsertAll(mc);
-    // Algorithm 1's Neighbor(.) rule: a new match (u, v) re-activates the
-    // neighborhoods containing both endpoints (evidence is conditioned on
-    // C x C). The just-run neighborhood is skipped: idempotence says it
-    // cannot add anything to its own output.
-    for (const data::EntityPair& p : new_matches) {
-      const std::vector<uint32_t>& ha = icover_.HomesOf(p.a);
-      const std::vector<uint32_t>& hb = icover_.HomesOf(p.b);
-      size_t i = 0;
-      size_t j = 0;
-      while (i < ha.size() && j < hb.size()) {
-        if (ha[i] == hb[j]) {
-          if (ha[i] != c) Activate(ha[i]);
-          ++i;
-          ++j;
-        } else if (ha[i] < hb[j]) {
-          ++i;
-        } else {
-          ++j;
-        }
-      }
-    }
-  }
+  // The incrementally maintained k keeps the cap O(1) per drain.
+  engine_.Drain(
+      cover, active_,
+      [this](data::EntityId e) -> const std::vector<uint32_t>& {
+        return icover_.HomesOf(e);
+      },
+      core::EvaluationCap(cover.size(), icover_.max_neighborhood_size()),
+      [this](uint32_t c, const core::MpEngine::Evaluation& evaluation) {
+        ++matching_stats_.neighborhood_evaluations;
+        matching_stats_.matcher_calls += evaluation.matcher_calls;
+        matching_stats_.pairs_rescored += icover_.inside_pairs(c);
+      });
   // One registry bump per drain with the serial deltas — deterministic for
   // a fixed arrival order, like the MatchingStats they mirror.
   static obs::Counter& evals_counter =

@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "core/cover.h"
 #include "core/match_set.h"
 #include "core/matcher.h"
+#include "core/message_passing.h"
 #include "data/dataset.h"
 #include "stream/incremental_cover.h"
 #include "util/execution_context.h"
@@ -28,9 +28,6 @@ struct StreamingOptions {
   /// Matches, cover and counters are bit-identical for any thread and
   /// shard count (for a fixed arrival order).
   const ExecutionContext* context = nullptr;
-  /// Safety cap on neighborhood evaluations per convergence drain
-  /// (0 = the theoretical n * k^2 bound, like core::MpOptions).
-  size_t max_evaluations = 0;
   /// Periodic metrics snapshot: every this many inserts (0 = off) the
   /// matcher refreshes the process metrics registry's stream gauges
   /// (live refs, neighborhoods, matches, max neighborhood size) and
@@ -90,8 +87,9 @@ struct StreamingMatcherState {
 /// update MinHash signatures and the sharded LSH index in place, patch the
 /// affected neighborhoods of an incrementally maintained total cover
 /// (IncrementalCover), enqueue only the dirty neighborhoods, and propagate
-/// new matches through the message-passing activation discipline (the
-/// Neighbor(.) rule of Algorithm 1) until convergence.
+/// new matches until convergence. The drain is core::MpEngine's sequential
+/// schedule — the same loop as RunSmp — over IncrementalCover::HomesOf,
+/// with an active set that persists across calls.
 ///
 /// Convergence guarantee: for a well-behaved matcher (idempotent +
 /// monotone, Definition 4), after every reference has been streamed — in
@@ -109,8 +107,9 @@ struct StreamingMatcherState {
 /// would reach from scratch (Theorem 2). The streaming equivalence suite
 /// pins this end to end.
 ///
-/// MMP-style maximal-message exchange is not streamed yet: the drain runs
-/// SMP semantics, so the batch reference point is RunSmp, not RunMmp.
+/// MMP-style maximal-message exchange is not streamed: the engine runs the
+/// SMP scheme, so the batch reference point is RunSmp, not RunMmp. Streamed
+/// MMP would be a scheme choice on the same engine, but is not offered.
 class StreamingMatcher {
  public:
   /// `matcher` decides matches and supplies the dataset; it must outlive
@@ -191,10 +190,7 @@ class StreamingMatcher {
   Status RestoreState(StreamingMatcherState state);
 
  private:
-  /// Marks a neighborhood active (set semantics, like Algorithm 1's A).
-  void Activate(uint32_t n);
-
-  /// Runs the SMP loop until the active set drains.
+  /// Runs the engine's SMP loop until the active set drains.
   void Drain();
 
   /// Per-insert observability: canopies-touched histogram + insert counter.
@@ -209,9 +205,10 @@ class StreamingMatcher {
   IncrementalCover icover_;
   core::MatchSet matches_;
   MatchingStats matching_stats_;
+  /// SMP over matches_ (M+).
+  core::MpEngine engine_;
   /// Persistent FIFO active set across Add() calls.
-  std::deque<uint32_t> active_;
-  std::vector<uint8_t> queued_;  // Grows with the cover.
+  core::ActiveSet active_;
   /// num_live() at the last metrics publication (metrics_every_inserts).
   size_t metrics_published_at_ = 0;
   /// See drains_completed() / pending_hint().
