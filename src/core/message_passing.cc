@@ -86,14 +86,15 @@ MpEngine::MpEngine(const Matcher& matcher, MpScheme scheme, MatchSet& matched,
 
 MpEngine::Evaluation MpEngine::Evaluate(
     const std::vector<data::EntityId>& entities) const {
-  Evaluation out;
-  out.matches = matcher_.Match(entities, matched_);
-  size_t conditioned_calls = 0;
+  Evaluation out{.matches = matcher_.Match(entities, matched_),
+                 .messages = {},
+                 .matcher_calls = 1};
   if (probabilistic_ != nullptr) {
+    size_t conditioned_calls = 0;
     out.messages = ComputeMaximal(matcher_, entities, matched_, out.matches,
                                   &conditioned_calls);
+    out.matcher_calls += conditioned_calls;
   }
-  out.matcher_calls = 1 + conditioned_calls;
   return out;
 }
 

@@ -26,23 +26,23 @@ const char* MpSchemeName(MpScheme scheme);
 class ActiveSet {
  public:
   void Push(uint32_t id) {
-    if (id >= queued_.size()) queued_.resize(id + 1, false);
+    if (id >= queued_.size()) queued_.resize(id + 1, 0);
     if (queued_[id]) return;
-    queued_[id] = true;
+    queued_[id] = 1;
     queue_.push_back(id);
   }
   /// Removes and returns the oldest queued id; the set must not be empty.
   uint32_t Pop() {
     const uint32_t id = queue_.front();
     queue_.pop_front();
-    queued_[id] = false;
+    queued_[id] = 0;
     return id;
   }
   bool empty() const { return queue_.empty(); }
 
  private:
   std::deque<uint32_t> queue_;
-  std::vector<bool> queued_;
+  std::vector<uint8_t> queued_;
 };
 
 /// Safety cap on the evaluations of one drain over `n` neighborhoods of at
