@@ -77,7 +77,6 @@
 #include "core/matcher.h"
 #include "core/maximal_message.h"
 #include "core/message_passing.h"
-#include "core/neighbor_index.h"
 #include "data/dataset.h"
 #include "data/entity.h"
 #include "eval/experiment.h"
@@ -215,7 +214,7 @@ core::MpResult LegacyRunMmp(const core::ProbabilisticMatcher& matcher,
                             const core::Cover& cover) {
   constexpr double kScoreEps = 1e-9;
   core::MpResult result;
-  core::NeighborIndex index(cover);
+  const core::CoverMembership membership(cover);
   std::deque<uint32_t> queue;
   std::vector<bool> queued(cover.size(), false);
   const auto push = [&](uint32_t id) {
@@ -279,7 +278,7 @@ core::MpResult LegacyRunMmp(const core::ProbabilisticMatcher& matcher,
       }
     }
 
-    for (uint32_t affected : index.AffectedBy(new_matches)) {
+    for (uint32_t affected : core::AffectedBy(membership, new_matches)) {
       if (affected != c) push(affected);
     }
   }

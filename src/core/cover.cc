@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <functional>
 #include <iterator>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -95,29 +93,20 @@ size_t Cover::TotalContainedPairs(const data::Dataset& dataset) const {
 }
 
 bool Cover::CoversAllAuthorRefs(const data::Dataset& dataset) const {
-  std::unordered_set<data::EntityId> covered;
-  for (const Neighborhood& n : neighborhoods_) {
-    covered.insert(n.entities.begin(), n.entities.end());
-  }
+  const CoverMembership membership(*this);
   for (data::EntityId ref : dataset.author_refs()) {
-    if (!covered.count(ref)) return false;
+    if (!membership.Contains(ref)) return false;
   }
   return true;
 }
 
 bool Cover::IsTotalForCoauthor(const data::Dataset& dataset) const {
   // Every Coauthor tuple (u, v) must lie inside some neighborhood.
+  const CoverMembership membership(*this);
   for (data::EntityId u : dataset.author_refs()) {
     for (data::EntityId v : dataset.Coauthors(u)) {
       if (v < u) continue;  // Each symmetric tuple once.
-      bool found = false;
-      for (const Neighborhood& n : neighborhoods_) {
-        if (ContainsSorted(n.entities, u) && ContainsSorted(n.entities, v)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
+      if (!membership.Together(u, v)) return false;
     }
   }
   return true;
@@ -125,39 +114,45 @@ bool Cover::IsTotalForCoauthor(const data::Dataset& dataset) const {
 
 double Cover::CandidatePairCoverage(const data::Dataset& dataset) const {
   if (dataset.num_candidate_pairs() == 0) return 1.0;
-  std::unordered_set<uint64_t> covered;
-  for (const Neighborhood& n : neighborhoods_) {
-    for (data::EntityId e : n.entities) {
-      for (data::PairId id : dataset.PairsOfEntity(e)) {
-        const data::EntityPair p = dataset.candidate_pair(id).pair;
-        if (p.a == e && ContainsSorted(n.entities, p.b)) {
-          covered.insert(data::PairKey(p));
-        }
-      }
-    }
+  const CoverMembership membership(*this);
+  size_t covered = 0;
+  for (const data::CandidatePair& cp : dataset.candidate_pairs()) {
+    if (membership.Together(cp.pair.a, cp.pair.b)) ++covered;
   }
-  return static_cast<double>(covered.size()) /
+  return static_cast<double>(covered) /
          static_cast<double>(dataset.num_candidate_pairs());
 }
 
 const std::vector<uint32_t> CoverMembership::kEmptyHomes;
 
 CoverMembership::CoverMembership(const Cover& cover) {
-  for (size_t i = 0; i < cover.size(); ++i) {
+  // Counted first, so every row is allocated once. Appending in index order
+  // then keeps every row sorted, and each row's first append is its first
+  // home.
+  std::vector<uint32_t> counts;
+  for (const Neighborhood& n : cover.neighborhoods()) {
+    for (data::EntityId e : n.entities) {
+      if (e >= counts.size()) counts.resize(size_t{e} + 1, 0);
+      ++counts[e];
+    }
+  }
+  rows_.resize(counts.size());
+  for (size_t e = 0; e < counts.size(); ++e) {
+    rows_[e].homes.reserve(counts[e]);
+    if (counts[e] > 0) ++num_entities_;
+  }
+  for (uint32_t i = 0; i < cover.size(); ++i) {
     for (data::EntityId e : cover.neighborhood(i).entities) {
-      Add(e, static_cast<uint32_t>(i));
+      Entry& row = rows_[e];
+      if (row.homes.empty()) row.first_home = i;
+      row.homes.push_back(i);
     }
   }
 }
 
 bool CoverMembership::Together(data::EntityId a, data::EntityId b) const {
-  const auto it_a = entries_.find(a);
-  const auto it_b = entries_.find(b);
-  if (it_a == entries_.end() || it_b == entries_.end()) return false;
-  const std::vector<uint32_t>& ha = it_a->second.homes;
-  const std::vector<uint32_t>& hb = it_b->second.homes;
-  // Linear merge over two sorted lists (the historical representation
-  // scanned hb once per element of ha).
+  const std::vector<uint32_t>& ha = HomesOf(a);
+  const std::vector<uint32_t>& hb = HomesOf(b);
   size_t i = 0;
   size_t j = 0;
   while (i < ha.size() && j < hb.size()) {
@@ -172,44 +167,47 @@ bool CoverMembership::Together(data::EntityId a, data::EntityId b) const {
 }
 
 uint32_t CoverMembership::FirstHome(data::EntityId e) const {
-  const auto it = entries_.find(e);
-  CEM_CHECK(it != entries_.end()) << "FirstHome of an uncovered entity";
-  return it->second.first_home;
-}
-
-const std::vector<uint32_t>& CoverMembership::HomesOf(data::EntityId e) const {
-  const auto it = entries_.find(e);
-  return it == entries_.end() ? kEmptyHomes : it->second.homes;
+  CEM_CHECK(Contains(e)) << "FirstHome of an uncovered entity";
+  return rows_[e].first_home;
 }
 
 bool CoverMembership::Add(data::EntityId e, uint32_t n) {
-  auto [it, inserted] = entries_.try_emplace(e);
-  Entry& entry = it->second;
-  if (inserted) entry.first_home = n;
-  const auto pos =
-      std::lower_bound(entry.homes.begin(), entry.homes.end(), n);
-  if (pos != entry.homes.end() && *pos == n) return false;
-  entry.homes.insert(pos, n);
+  if (e >= rows_.size()) rows_.resize(size_t{e} + 1);
+  Entry& row = rows_[e];
+  const auto pos = std::lower_bound(row.homes.begin(), row.homes.end(), n);
+  if (pos != row.homes.end() && *pos == n) return false;
+  if (row.homes.empty()) {
+    row.first_home = n;
+    ++num_entities_;
+  }
+  row.homes.insert(pos, n);
   return true;
 }
 
 std::vector<MembershipEntry> CoverMembership::SortedEntries() const {
   std::vector<MembershipEntry> out;
-  out.reserve(entries_.size());
-  for (const auto& [entity, entry] : entries_) {
-    out.push_back({entity, entry.first_home, entry.homes});
+  out.reserve(num_entities_);
+  for (size_t e = 0; e < rows_.size(); ++e) {
+    const Entry& row = rows_[e];
+    if (row.homes.empty()) continue;
+    out.push_back(
+        {static_cast<data::EntityId>(e), row.first_home, row.homes});
   }
-  std::sort(out.begin(), out.end(),
-            [](const MembershipEntry& a, const MembershipEntry& b) {
-              return a.entity < b.entity;
-            });
   return out;
 }
 
 CoverMembership CoverMembership::FromEntries(
     std::vector<MembershipEntry> entries) {
+  CEM_CHECK(std::adjacent_find(entries.begin(), entries.end(),
+                               [](const MembershipEntry& a,
+                                  const MembershipEntry& b) {
+                                 return a.entity >= b.entity;
+                               }) == entries.end())
+      << "membership entries must name ascending, unique entities";
   CoverMembership membership;
-  membership.entries_.reserve(entries.size());
+  if (!entries.empty()) {
+    membership.rows_.resize(size_t{entries.back().entity} + 1);
+  }
   for (MembershipEntry& e : entries) {
     CEM_CHECK(std::is_sorted(e.homes.begin(), e.homes.end()) &&
               std::adjacent_find(e.homes.begin(), e.homes.end()) ==
@@ -218,12 +216,11 @@ CoverMembership CoverMembership::FromEntries(
     CEM_CHECK(std::binary_search(e.homes.begin(), e.homes.end(),
                                  e.first_home))
         << "first_home must be one of the homes";
-    auto [it, inserted] = membership.entries_.try_emplace(e.entity);
-    CEM_CHECK(inserted) << "duplicate membership entry for entity "
-                        << e.entity;
-    it->second.first_home = e.first_home;
-    it->second.homes = std::move(e.homes);
+    Entry& row = membership.rows_[e.entity];
+    row.first_home = e.first_home;
+    row.homes = std::move(e.homes);
   }
+  membership.num_entities_ = entries.size();
   return membership;
 }
 
@@ -243,9 +240,6 @@ void PatchPairCoverage(const data::Dataset& dataset, Cover& cover,
                        const ExecutionContext& ctx, PatchStats* stats) {
   CEM_TRACE("core/patch_pair_coverage");
   CoverMembership homes(cover);
-  const auto together = [&homes](data::EntityId a, data::EntityId b) {
-    return homes.Together(a, b);
-  };
 
   const std::vector<data::CandidatePair>& pairs = dataset.candidate_pairs();
   const size_t num_pairs = pairs.size();
@@ -254,14 +248,14 @@ void PatchPairCoverage(const data::Dataset& dataset, Cover& cover,
   std::vector<uint8_t> split(std::min(kPatchBatch, num_pairs), 0);
   for (size_t start = 0; start < num_pairs; start += kPatchBatch) {
     const size_t len = std::min(kPatchBatch, num_pairs - start);
-    // Parallel phase: split detection against the map as of the previous
-    // batch's replay — strictly read-only (find, never operator[]).
+    // Parallel phase: split detection against the membership as of the
+    // previous batch's replay — strictly read-only.
     const size_t num_chunks = (len + kPatchChunk - 1) / kPatchChunk;
     ParallelFor(ctx.pool(), num_chunks, [&](size_t c) {
       const size_t chunk_end = std::min(len, (c + 1) * kPatchChunk);
       for (size_t i = c * kPatchChunk; i < chunk_end; ++i) {
         const data::EntityPair& p = pairs[start + i].pair;
-        split[i] = together(p.a, p.b) ? 0 : 1;
+        split[i] = homes.Together(p.a, p.b) ? 0 : 1;
       }
     });
     // Serial phase: replay the repairs in pair order. Membership only
@@ -274,7 +268,7 @@ void PatchPairCoverage(const data::Dataset& dataset, Cover& cover,
       const data::EntityPair& p = pairs[start + i].pair;
       if (dirty) {
         ++rechecked;
-        if (together(p.a, p.b)) continue;
+        if (homes.Together(p.a, p.b)) continue;
       }
       CEM_CHECK(homes.Contains(p.a)) << "cover must contain every ref";
       const uint32_t home = homes.FirstHome(p.a);

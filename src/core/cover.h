@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "data/dataset.h"
@@ -98,17 +97,20 @@ struct MembershipEntry {
                          const MembershipEntry&) = default;
 };
 
-/// Entity -> neighborhood membership of a cover (the patch passes' `homes`
-/// map), kept as sorted neighborhood-id vectors so the hot Together() probe
-/// is a linear merge instead of a nested linear scan. Also remembers each
-/// entity's *first* home — the repair target of PatchPairCoverage — which
-/// under the historical representation was the front of an append-only
-/// list, i.e. the lowest neighborhood index the entity was born with.
+/// Entity -> neighborhood membership of a cover: the one index behind
+/// Neighbor(·) of Algorithms 1 and 3, the totality patches and the cover
+/// checks of Definition 7 — all of which ask whether some neighborhood
+/// holds both entities. A dense table indexed by entity id, each row the
+/// entity's sorted neighborhood ids plus its *first* home: the repair
+/// target of PatchPairCoverage, which is the first neighborhood recorded,
+/// not the lowest one, once an entity joins a lower neighborhood later.
 ///
-/// Shared by the batch patch pass and the streaming layer's incremental
-/// cover maintenance: both mutate a Cover through AddEntityTo and mirror
-/// the change here. Read methods are safe to call concurrently as long as
-/// no Add() runs (the speculative patch scans rely on this).
+/// Shared by the batch message-passing runs, the batch patch pass and the
+/// streaming layer's incremental cover maintenance: the latter two mutate a
+/// Cover through AddEntityTo and mirror the change here. Read methods are
+/// safe to call concurrently as long as no Add() runs (the speculative
+/// patch scans rely on this). Add() may grow the table, which invalidates
+/// references returned by HomesOf.
 class CoverMembership {
  public:
   /// Empty membership (streaming: the cover grows from nothing).
@@ -119,7 +121,7 @@ class CoverMembership {
   explicit CoverMembership(const Cover& cover);
 
   /// True if `e` belongs to at least one neighborhood.
-  bool Contains(data::EntityId e) const { return entries_.count(e) > 0; }
+  bool Contains(data::EntityId e) const { return !HomesOf(e).empty(); }
 
   /// True if some neighborhood contains both `a` and `b`.
   bool Together(data::EntityId a, data::EntityId b) const;
@@ -129,28 +131,34 @@ class CoverMembership {
   uint32_t FirstHome(data::EntityId e) const;
 
   /// Sorted ids of the neighborhoods containing `e` (empty if none).
-  const std::vector<uint32_t>& HomesOf(data::EntityId e) const;
+  const std::vector<uint32_t>& HomesOf(data::EntityId e) const {
+    return e < rows_.size() ? rows_[e].homes : kEmptyHomes;
+  }
 
   /// Records `e` in neighborhood `n`; returns true if the pair was new.
   bool Add(data::EntityId e, uint32_t n);
 
   /// Number of entities with at least one home.
-  size_t num_entities() const { return entries_.size(); }
+  size_t num_entities() const { return num_entities_; }
 
   /// Every entity's row, sorted by entity id — the serializable view of
   /// the whole membership (deterministic bytes for the snapshot format).
   std::vector<MembershipEntry> SortedEntries() const;
 
   /// Rebuilds a membership from SortedEntries() output. Entries must name
-  /// each entity once with sorted unique homes containing first_home.
+  /// ascending, unique entities, each with sorted unique homes containing
+  /// first_home. The largest entity sizes the table, so ids read from a
+  /// file must be range-checked first.
   static CoverMembership FromEntries(std::vector<MembershipEntry> entries);
 
  private:
   struct Entry {
     uint32_t first_home = 0;
-    std::vector<uint32_t> homes;  // Sorted, unique.
+    std::vector<uint32_t> homes;  // Sorted, unique; empty: no home.
   };
-  std::unordered_map<data::EntityId, Entry> entries_;
+  /// Indexed by entity id.
+  std::vector<Entry> rows_;
+  size_t num_entities_ = 0;
   static const std::vector<uint32_t> kEmptyHomes;
 };
 

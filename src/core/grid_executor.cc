@@ -4,7 +4,6 @@
 #include <numeric>
 #include <vector>
 
-#include "core/neighbor_index.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -31,7 +30,7 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
   GridResult result;
   MpEngine engine(matcher, options.scheme, result.matches);
   Rng rng(options.seed);
-  NeighborIndex index(cover);
+  const CoverMembership membership(cover);
   ThreadPool& pool = options.context != nullptr
                          ? options.context->pool()
                          : ExecutionContext::Default().pool();
@@ -66,7 +65,7 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
     // next round. NO-MP is one round with no re-activation.
     const std::vector<data::EntityPair> new_matches = engine.Fold(outputs);
     if (options.scheme == MpScheme::kNoMp) break;
-    active = index.AffectedBy(new_matches);
+    active = AffectedBy(membership, new_matches);
   }
 
   result.neighborhood_evaluations = engine.evaluations();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 
-#include "core/neighbor_index.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -11,14 +10,14 @@ namespace cem::core {
 namespace {
 
 /// SMP and both MMP variants: seed the active set with `initial_order`,
-/// then 0..n-1, and drain it over the cover's NeighborIndex.
+/// then 0..n-1, and drain it over the cover's membership.
 MpResult RunSequential(const Matcher& matcher, const Cover& cover,
                        const MpOptions& options, MpScheme scheme,
                        bool merge_messages = true) {
   Timer timer;
   MpResult result;
   MpEngine engine(matcher, scheme, result.matches, merge_messages);
-  const NeighborIndex index(cover);
+  const CoverMembership membership(cover);
   ActiveSet active;
   for (uint32_t id : options.initial_order) {
     if (id < cover.size()) active.Push(id);
@@ -28,12 +27,7 @@ MpResult RunSequential(const Matcher& matcher, const Cover& cover,
       options.max_evaluations > 0
           ? options.max_evaluations
           : EvaluationCap(cover.size(), cover.MaxNeighborhoodSize());
-  engine.Drain(
-      cover, active,
-      [&index](data::EntityId e) -> const std::vector<uint32_t>& {
-        return index.NeighborhoodsOf(e);
-      },
-      cap);
+  engine.Drain(cover, active, membership, cap);
   result.neighborhood_evaluations = engine.evaluations();
   result.matcher_calls = engine.matcher_calls();
   result.messages_created = engine.messages_created();
@@ -60,12 +54,12 @@ size_t EvaluationCap(size_t n, size_t k) {
   return n * std::max<size_t>(k * k, 16) + 64;
 }
 
-std::vector<uint32_t> AffectedBy(const HomesOf& homes_of,
+std::vector<uint32_t> AffectedBy(const CoverMembership& membership,
                                  std::span<const data::EntityPair> pairs) {
   std::vector<uint32_t> out;
   for (const data::EntityPair& p : pairs) {
-    const std::vector<uint32_t>& in_a = homes_of(p.a);
-    const std::vector<uint32_t>& in_b = homes_of(p.b);
+    const std::vector<uint32_t>& in_a = membership.HomesOf(p.a);
+    const std::vector<uint32_t>& in_b = membership.HomesOf(p.b);
     std::set_intersection(in_a.begin(), in_a.end(), in_b.begin(), in_b.end(),
                           std::back_inserter(out));
   }
@@ -138,7 +132,7 @@ std::vector<data::EntityPair> MpEngine::Fold(
 }
 
 void MpEngine::Drain(const Cover& cover, ActiveSet& active,
-                     const HomesOf& homes_of, size_t cap,
+                     const CoverMembership& membership, size_t cap,
                      const OnEvaluate& on_evaluate) {
   for (size_t evaluations = 0; !active.empty(); ++evaluations) {
     if (evaluations >= cap) {
@@ -151,7 +145,7 @@ void MpEngine::Drain(const Cover& cover, ActiveSet& active,
     if (on_evaluate) on_evaluate(c, evaluation);
     // Step 8: re-activate the neighborhoods affected by anything new.
     for (uint32_t affected :
-         AffectedBy(homes_of, Fold({&evaluation, 1}))) {
+         AffectedBy(membership, Fold({&evaluation, 1}))) {
       if (affected != c) active.Push(affected);
     }
   }

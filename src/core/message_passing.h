@@ -50,13 +50,10 @@ class ActiveSet {
 /// only guards matchers that are not well-behaved.
 size_t EvaluationCap(size_t n, size_t k);
 
-/// Neighbor(·)'s lookup: the sorted ids of the neighborhoods holding an
-/// entity. Lambdas must declare the reference return type.
-using HomesOf = std::function<const std::vector<uint32_t>&(data::EntityId)>;
-
-/// Neighborhood ids affected by any of `pairs` (sorted, unique): those
-/// holding *both* endpoints, since evidence is conditioned on C x C.
-std::vector<uint32_t> AffectedBy(const HomesOf& homes_of,
+/// Neighbor(·) of Algorithms 1 and 3: the neighborhood ids affected by any
+/// of `pairs` (sorted, unique) — those holding *both* endpoints, since
+/// evidence is conditioned on C x C.
+std::vector<uint32_t> AffectedBy(const CoverMembership& membership,
                                  std::span<const data::EntityPair> pairs);
 
 /// The one message-passing loop behind every driver: steps 5-8 of
@@ -100,8 +97,10 @@ class MpEngine {
   /// neighborhoods AffectedBy its new pairs (except itself: by idempotence
   /// it cannot add to its own output). Stops with a warning after `cap`
   /// evaluations; `on_evaluate`, if set, sees every evaluation.
-  void Drain(const Cover& cover, ActiveSet& active, const HomesOf& homes_of,
-             size_t cap, const OnEvaluate& on_evaluate = {});
+  /// `membership` must mirror `cover`.
+  void Drain(const Cover& cover, ActiveSet& active,
+             const CoverMembership& membership, size_t cap,
+             const OnEvaluate& on_evaluate = {});
 
   /// Work folded since construction.
   size_t evaluations() const { return evaluations_; }

@@ -213,7 +213,7 @@ std::vector<uint32_t> IncrementalCover::Insert(
   for (data::EntityId c : dataset_.Coauthors(ref)) {
     if (!is_live(c)) continue;
     // AddMember only ever adds `ref` as a boundary member here, which
-    // cannot grow c's *core* homes mid-loop, so the reference is stable.
+    // never touches the core membership, so the reference is stable.
     const std::vector<uint32_t>& homes = core_.HomesOf(c);
     for (uint32_t n : homes) {
       AddMember(n, ref, /*core=*/false, dirty);

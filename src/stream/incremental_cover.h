@@ -151,8 +151,7 @@ class IncrementalCover {
   size_t inside_pairs(uint32_t n) const { return inside_pairs_[n]; }
 
   /// Sorted ids of the neighborhoods containing `e` (boundary members
-  /// included) — the streaming counterpart of core::NeighborIndex, used by
-  /// the matcher to re-activate neighborhoods affected by a new match.
+  /// included): full_membership().HomesOf(e).
   const std::vector<uint32_t>& HomesOf(data::EntityId e) const {
     return full_.HomesOf(e);
   }
@@ -206,7 +205,8 @@ class IncrementalCover {
   /// membership.
   const core::CoverMembership& core_membership() const { return core_; }
 
-  /// Full membership (core + boundary): mirrors cover() exactly.
+  /// Full membership (core + boundary): mirrors cover() exactly, so the
+  /// matcher's drain re-activates neighborhoods over it.
   const core::CoverMembership& full_membership() const { return full_; }
 
   /// Restores a snapshot into a freshly constructed cover (num_live() must

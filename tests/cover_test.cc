@@ -6,7 +6,7 @@
 
 #include "core/canopy.h"
 #include "core/cover.h"
-#include "core/neighbor_index.h"
+#include "core/message_passing.h"
 #include "data/bib_generator.h"
 #include "data/dataset.h"
 #include "data/figure1.h"
@@ -232,36 +232,76 @@ TEST(ExpandCoauthorBoundaryTest, HandBuiltEdgeCases) {
   EXPECT_EQ(cover.neighborhood(3).entities, (std::vector<EntityId>{r2, r3}));
 }
 
-// -------------------------------------------------------- NeighborIndex --
+// ------------------------------------------------------ CoverMembership --
+
+TEST(CoverMembershipTest, FirstHomeIsTheFirstNeighborhoodAdded) {
+  CoverMembership membership;
+  EXPECT_TRUE(membership.Add(7, 5));
+  EXPECT_TRUE(membership.Add(7, 2));
+  EXPECT_FALSE(membership.Add(7, 5));  // Repeated: no change.
+  EXPECT_EQ(membership.FirstHome(7), 5u);
+  EXPECT_EQ(membership.HomesOf(7), (std::vector<uint32_t>{2, 5}));
+  EXPECT_TRUE(membership.Add(3, 2));
+  // Entities, not memberships.
+  EXPECT_EQ(membership.num_entities(), 2u);
+}
+
+TEST(CoverMembershipTest, IdsPastTheTableHaveNoHomes) {
+  CoverMembership membership;
+  membership.Add(7, 5);
+  EXPECT_FALSE(membership.Contains(1000));
+  EXPECT_TRUE(membership.HomesOf(1000).empty());
+  EXPECT_FALSE(membership.Together(1000, 7));
+  EXPECT_FALSE(membership.Contains(6));  // Inside the table, no home.
+}
+
+TEST(CoverMembershipTest, EntriesRoundTripAcrossIdGaps) {
+  CoverMembership membership;
+  membership.Add(40, 3);
+  membership.Add(2, 9);
+  membership.Add(2, 1);
+  membership.Add(17, 4);
+  const std::vector<MembershipEntry> entries = membership.SortedEntries();
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0], (MembershipEntry{2, 9, {1, 9}}));
+  EXPECT_EQ(entries[1], (MembershipEntry{17, 4, {4}}));
+  EXPECT_EQ(entries[2], (MembershipEntry{40, 3, {3}}));
+  const CoverMembership rebuilt = CoverMembership::FromEntries(entries);
+  EXPECT_EQ(rebuilt.SortedEntries(), entries);
+  EXPECT_EQ(rebuilt.num_entities(), 3u);
+  EXPECT_FALSE(rebuilt.Contains(16));
+}
+
+// Neighbor(·) of Algorithms 1 and 3: AffectedBy over a cover's membership.
 
 TEST(NeighborIndexTest, FindsContainingNeighborhoods) {
   Cover cover;
   cover.Add({0, 1, 2});
   cover.Add({2, 3});
   cover.Add({4});
-  NeighborIndex index(cover);
-  EXPECT_EQ(index.NeighborhoodsOf(2), (std::vector<uint32_t>{0, 1}));
-  EXPECT_EQ(index.NeighborhoodsOf(4), (std::vector<uint32_t>{2}));
-  EXPECT_TRUE(index.NeighborhoodsOf(99).empty());
+  const CoverMembership index(cover);
+  EXPECT_EQ(index.HomesOf(2), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(index.HomesOf(4), (std::vector<uint32_t>{2}));
+  EXPECT_TRUE(index.HomesOf(99).empty());
 }
 
 TEST(NeighborIndexTest, AffectedNeedsBothEndpoints) {
   Cover cover;
   cover.Add({0, 1});
   cover.Add({1, 2});
-  NeighborIndex index(cover);
+  const CoverMembership index(cover);
   // Pair (0,1) affects only the first neighborhood; (0,2) affects none.
-  EXPECT_EQ(index.AffectedBy({EntityPair(0, 1)}),
+  EXPECT_EQ(AffectedBy(index, std::vector{EntityPair(0, 1)}),
             (std::vector<uint32_t>{0}));
-  EXPECT_TRUE(index.AffectedBy({EntityPair(0, 2)}).empty());
+  EXPECT_TRUE(AffectedBy(index, std::vector{EntityPair(0, 2)}).empty());
 }
 
 TEST(NeighborIndexTest, AffectedDeduplicates) {
   Cover cover;
   cover.Add({0, 1, 2});
-  NeighborIndex index(cover);
+  const CoverMembership index(cover);
   const auto affected =
-      index.AffectedBy({EntityPair(0, 1), EntityPair(1, 2)});
+      AffectedBy(index, std::vector{EntityPair(0, 1), EntityPair(1, 2)});
   EXPECT_EQ(affected, (std::vector<uint32_t>{0}));
 }
 
