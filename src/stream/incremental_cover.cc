@@ -97,9 +97,30 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
       return InvalidArgumentError("seed neighborhood out of range");
     }
   }
+  // Every id the image names is range-checked before it indexes anything:
+  // a row's entity sizes CoverMembership's dense table.
+  const size_t num_entities = dataset_.num_entities();
   size_t cover_memberships = 0;
   for (const std::vector<data::EntityId>& members : state.neighborhoods) {
+    for (data::EntityId e : members) {
+      if (e >= num_entities) {
+        return InvalidArgumentError("neighborhood member out of range");
+      }
+    }
     cover_memberships += members.size();
+  }
+  for (const std::vector<core::MembershipEntry>* rows :
+       {&state.core_entries, &state.full_entries}) {
+    for (const core::MembershipEntry& row : *rows) {
+      if (row.entity >= num_entities) {
+        return InvalidArgumentError("membership entity out of range");
+      }
+      for (uint32_t home : row.homes) {
+        if (home >= state.neighborhoods.size()) {
+          return InvalidArgumentError("membership home out of range");
+        }
+      }
+    }
   }
   size_t full_memberships = 0;
   for (const core::MembershipEntry& e : state.full_entries) {

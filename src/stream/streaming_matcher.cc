@@ -95,8 +95,11 @@ Status StreamingMatcher::RestoreState(StreamingMatcherState state) {
       icover_.RestoreState(std::move(state.cover), Resolve(options_)));
   for (uint64_t key : state.match_keys) {
     const data::EntityPair pair = data::PairFromKey(key);
-    if (pair.a >= pair.b || !matches_.Insert(pair)) {
-      return InvalidArgumentError("match keys must be normalised and unique");
+    // a < b, so b bounds both endpoints.
+    if (pair.a >= pair.b || pair.b >= dataset().num_entities() ||
+        !matches_.Insert(pair)) {
+      return InvalidArgumentError(
+          "match keys must be normalised, unique and in range");
     }
   }
   matching_stats_ = state.matching;

@@ -484,6 +484,83 @@ TEST(SnapshotRobustness, ImplausibleInsertCountIsRejectedNotAllocated) {
             std::string::npos);
 }
 
+/// The image SaveSnapshot writes of a DBLP-like stream with half its
+/// references ingested, captured through the serialization accessors.
+stream::StreamingMatcherState HalfStreamedState(
+    const mln::MlnMatcher& matcher) {
+  const std::vector<data::EntityId> refs =
+      ShuffledRefs(matcher.dataset(), 801);
+  StreamingMatcher streaming(matcher);
+  FeedChunks(streaming, {refs.begin(), refs.begin() + refs.size() / 2}, 16);
+  const stream::IncrementalCover& cover = streaming.incremental_cover();
+  stream::StreamingMatcherState state;
+  state.cover.slots = cover.slots();
+  state.cover.signatures = cover.signatures();
+  state.cover.seed_neighborhoods = cover.seed_neighborhoods();
+  state.cover.neighborhoods = CoverNeighborhoods(streaming);
+  state.cover.core_entries = cover.core_membership().SortedEntries();
+  state.cover.full_entries = cover.full_membership().SortedEntries();
+  state.cover.stats = cover.stats();
+  state.match_keys.assign(streaming.matches().keys().begin(),
+                          streaming.matches().keys().end());
+  std::sort(state.match_keys.begin(), state.match_keys.end());
+  state.matching = streaming.stats().matching;
+  return state;
+}
+
+Status RestoreInto(const mln::MlnMatcher& matcher,
+                   stream::StreamingMatcherState state) {
+  StreamingMatcher fresh(matcher);
+  return fresh.RestoreState(std::move(state));
+}
+
+// A restored image that names an id outside the dataset or the cover must
+// be refused, not installed: the next ingest would index with it.
+constexpr data::EntityId kHugeId = 0xfffffff0u;
+
+TEST(SnapshotRobustness, OutOfRangeNeighborhoodMemberIsRejected) {
+  const auto dataset = MakeSmallBib(801);
+  const mln::MlnMatcher matcher(*dataset);
+  stream::StreamingMatcherState state = HalfStreamedState(matcher);
+  ASSERT_TRUE(RestoreInto(matcher, state).ok());
+  state.cover.neighborhoods.front().back() = kHugeId;  // Still sorted.
+  EXPECT_EQ(RestoreInto(matcher, std::move(state)).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotRobustness, OutOfRangeMembershipEntityIsRejected) {
+  const auto dataset = MakeSmallBib(801);
+  const mln::MlnMatcher matcher(*dataset);
+  stream::StreamingMatcherState state = HalfStreamedState(matcher);
+  ASSERT_TRUE(RestoreInto(matcher, state).ok());
+  state.cover.full_entries.back().entity = kHugeId;  // Still ascending.
+  EXPECT_EQ(RestoreInto(matcher, std::move(state)).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotRobustness, MembershipHomePastTheCoverIsRejected) {
+  const auto dataset = MakeSmallBib(801);
+  const mln::MlnMatcher matcher(*dataset);
+  stream::StreamingMatcherState state = HalfStreamedState(matcher);
+  ASSERT_TRUE(RestoreInto(matcher, state).ok());
+  core::MembershipEntry& row = state.cover.full_entries.back();
+  const auto past = static_cast<uint32_t>(state.cover.neighborhoods.size());
+  if (row.first_home == row.homes.back()) row.first_home = past;
+  row.homes.back() = past;  // Still sorted.
+  EXPECT_EQ(RestoreInto(matcher, std::move(state)).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotRobustness, OutOfRangeMatchKeyIsRejected) {
+  const auto dataset = MakeSmallBib(801);
+  const mln::MlnMatcher matcher(*dataset);
+  stream::StreamingMatcherState state = HalfStreamedState(matcher);
+  ASSERT_TRUE(RestoreInto(matcher, state).ok());
+  state.match_keys.push_back(data::PairKey(data::EntityPair(0, kHugeId)));
+  EXPECT_EQ(RestoreInto(matcher, std::move(state)).code(),
+            StatusCode::kInvalidArgument);
+}
+
 // --- derived state ----------------------------------------------------------
 
 TEST(DerivedState, InsidePairCountsAreExactAfterRecoverAndStreamingOn) {
