@@ -36,15 +36,6 @@ void MinHasher::SignatureFromHashes(const uint64_t* token_hashes,
                          salts_.size(), out, ActiveSimdLevel());
 }
 
-std::vector<std::vector<uint64_t>> MinHasher::SignatureBatch(
-    const std::vector<std::vector<std::string>>& token_sets,
-    const ExecutionContext& ctx) const {
-  std::vector<std::vector<uint64_t>> signatures(token_sets.size());
-  ParallelFor(ctx.pool(), token_sets.size(),
-              [&](size_t i) { signatures[i] = Signature(token_sets[i]); });
-  return signatures;
-}
-
 double MinHasher::EstimateJaccard(const std::vector<uint64_t>& a,
                                   const std::vector<uint64_t>& b) {
   CEM_CHECK(a.size() == b.size() && !a.empty())

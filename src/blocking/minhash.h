@@ -6,8 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "util/execution_context.h"
-
 namespace cem::blocking {
 
 /// Options of the MinHash signature scheme.
@@ -59,13 +57,6 @@ class MinHasher {
   /// Signature(tokens) whenever `token_hashes` holds the tokens' hashes.
   void SignatureFromHashes(const uint64_t* token_hashes, size_t num_tokens,
                            uint64_t* out) const;
-
-  /// Signatures of all token sets, computed in parallel on `ctx`; element i
-  /// equals Signature(token_sets[i]) (documents are independent, so the
-  /// result does not depend on the thread count).
-  std::vector<std::vector<uint64_t>> SignatureBatch(
-      const std::vector<std::vector<std::string>>& token_sets,
-      const ExecutionContext& ctx) const;
 
   /// Unbiased Jaccard estimate: the fraction of agreeing components.
   /// Signatures must come from the same MinHasher configuration.

@@ -235,21 +235,5 @@ TEST(LshIndex, ParallelBulkAddMatchesSerialAdds) {
   }
 }
 
-TEST(MinHash, SignatureBatchMatchesSequentialSignatures) {
-  const MinHasher hasher;
-  std::vector<std::vector<std::string>> token_sets;
-  for (int doc = 0; doc < 50; ++doc) {
-    token_sets.push_back(Tokens(doc % 17, 3 + doc % 9));
-  }
-  for (uint32_t threads : {1u, 4u}) {
-    ExecutionContext ctx(threads);
-    const auto batch = hasher.SignatureBatch(token_sets, ctx);
-    ASSERT_EQ(batch.size(), token_sets.size());
-    for (size_t i = 0; i < token_sets.size(); ++i) {
-      EXPECT_EQ(batch[i], hasher.Signature(token_sets[i])) << "doc " << i;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace cem
