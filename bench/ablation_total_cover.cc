@@ -27,8 +27,10 @@ int main() {
     const core::Cover& cover = which == 0 ? w.cover : blocked;
     const std::string cover_name =
         which == 0 ? "boundary-expanded" : "canopy-only";
-    const std::string total =
-        cover.IsTotalForCoauthor(*w.dataset) ? "yes" : "no";
+    const bool is_total = cover.IsTotalForCoauthor(*w.dataset);
+    CEM_CHECK(which == 1 || is_total)
+        << "the boundary-expanded cover must be total w.r.t. Coauthor";
+    const std::string total = is_total ? "yes" : "no";
     const core::MatchSet no_mp = core::RunNoMp(matcher, cover).matches;
     const core::MatchSet mmp = core::RunMmp(matcher, cover).matches;
     auto row = [&](const char* scheme, const core::MatchSet& m) {
