@@ -146,8 +146,10 @@ void StatsServer::AcceptLoop() {
 }
 
 void StatsServer::ServeConnection(int fd) const {
-  // Only the request line matters: "GET <path> HTTP/1.x". Read until its
-  // newline (headers may trail in the buffer; they are ignored).
+  // Only the request line matters: "GET <path> HTTP/1.x". The whole head
+  // is read, through the blank line that ends it (headers are ignored): a
+  // byte still unread at close() makes the kernel reset the connection,
+  // and the client can lose the response.
   char buf[2048];
   size_t have = 0;
   while (have < sizeof(buf) - 1) {
@@ -158,7 +160,11 @@ void StatsServer::ServeConnection(int fd) const {
       break;
     }
     have += static_cast<size_t>(n);
-    if (std::memchr(buf, '\n', have) != nullptr) break;
+    const std::string_view head(buf, have);
+    if (head.find("\r\n\r\n") != std::string_view::npos ||
+        head.find("\n\n") != std::string_view::npos) {
+      break;
+    }
   }
   buf[have] = '\0';
   std::string_view request(buf, have);

@@ -182,6 +182,41 @@ TEST(StatsServerSocket, ServesAllEndpointsOverLoopback) {
             std::string::npos);
 }
 
+TEST(StatsServerSocket, HeadSplitAcrossSegmentsClosesWithoutReset) {
+  // The blank line that ends the request head arrives as its own segment
+  // right behind the request line, as a shell's printf sends it. A byte
+  // the server leaves unread makes its close() reset the connection, which
+  // fails the client's read and can drop the response.
+  const auto server = StatsServer::Start(0);
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons((*server)->port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0)
+        << std::strerror(errno);
+    const std::string line = "GET /metrics HTTP/1.0\r\n";
+    ASSERT_EQ(::send(fd, line.data(), line.size(), 0),
+              static_cast<ssize_t>(line.size()));
+    ASSERT_EQ(::send(fd, "\r\n", 2, 0), 2);
+    std::string response;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      response.append(buf, static_cast<size_t>(n));
+    }
+    const int read_errno = errno;
+    ::close(fd);
+    EXPECT_EQ(n, 0) << "attempt " << attempt << ": the read ended in "
+                    << std::strerror(read_errno);
+    EXPECT_NE(response.find("HTTP/1.0 200"), std::string::npos);
+  }
+}
+
 TEST(StatsServerSocket, ScrapesStayWellFormedDuringConcurrentIngest) {
   // The TSAN target: a scraper hammers the live endpoints while the
   // service ingests chunks and a reader issues lookups — the wiring
