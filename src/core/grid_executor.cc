@@ -1,6 +1,7 @@
 #include "core/grid_executor.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -22,6 +23,27 @@ double SimulatedMakespan(const std::vector<double>& task_seconds,
   return *std::max_element(load.begin(), load.end());
 }
 
+/// Calls `f(c)` for every neighborhood c holding both endpoints of `p`.
+template <typename F>
+void ForEachHomeOfBoth(const CoverMembership& membership, data::EntityPair p,
+                       F&& f) {
+  const std::vector<uint32_t>& in_a = membership.HomesOf(p.a);
+  const std::vector<uint32_t>& in_b = membership.HomesOf(p.b);
+  auto a = in_a.begin();
+  auto b = in_b.begin();
+  while (a != in_a.end() && b != in_b.end()) {
+    if (*a < *b) {
+      ++a;
+    } else if (*b < *a) {
+      ++b;
+    } else {
+      f(*a);
+      ++a;
+      ++b;
+    }
+  }
+}
+
 }  // namespace
 
 GridResult RunGrid(const Matcher& matcher, const Cover& cover,
@@ -39,6 +61,9 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
   // Initial active set: every neighborhood.
   std::vector<uint32_t> active(cover.size());
   std::iota(active.begin(), active.end(), 0u);
+  // Per neighborhood C, during a reduce: the new pairs inside C x C that
+  // C's own evaluation did not add. Zero between rounds.
+  std::vector<int64_t> unexplained(cover.size(), 0);
 
   while (!active.empty()) {
     if (engine.evaluations() >= cap) {
@@ -65,7 +90,32 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
     // next round. NO-MP is one round with no re-activation.
     const std::vector<data::EntityPair> new_matches = engine.Fold(outputs);
     if (options.scheme == MpScheme::kNoMp) break;
-    active = AffectedBy(membership, new_matches);
+
+    // C runs again only if a pair new to M+ lies inside C x C and C's own
+    // evaluation did not add it. Otherwise its next output would equal its
+    // last. By evidence locality (core/matcher.h) C sees only S, M+ inside
+    // C x C, and output MC = E(C, S) at the round's start. MC keeps every
+    // pair of S and holds every pair new inside C x C, so C would now see
+    // some S' with S ⊆ S' ⊆ MC. Monotonicity (Definition 3) pins E(C, S')
+    // between E(C, S) and E(C, MC), both MC by idempotence (Definition 2).
+    // Under MMP each conditioned run of COMPUTEMAXIMAL is pinned the same
+    // way, so an evaluation without maximal messages would again have none.
+    // One with messages counts as adding nothing: it runs again whenever a
+    // new pair lands inside it. For a round of one evaluation this is
+    // Drain's `affected != c`.
+    for (size_t i = 0; i < active.size(); ++i) {
+      if (outputs[i].messages.empty()) {
+        unexplained[active[i]] = -static_cast<int64_t>(outputs[i].added.size());
+      }
+    }
+    for (const data::EntityPair& p : new_matches) {
+      ForEachHomeOfBoth(membership, p, [&](uint32_t c) { ++unexplained[c]; });
+    }
+    active.clear();
+    for (uint32_t c = 0; c < unexplained.size(); ++c) {
+      if (unexplained[c] > 0) active.push_back(c);
+      unexplained[c] = 0;
+    }
   }
 
   result.neighborhood_evaluations = engine.evaluations();

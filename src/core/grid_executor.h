@@ -51,7 +51,10 @@ struct GridResult {
 };
 
 /// Runs `scheme` on `cover` round-parallel on an MpEngine (map = Evaluate,
-/// reduce = Fold in active-set order). For kMmp the matcher must be a
+/// reduce = Fold in active-set order). A neighborhood runs in the next
+/// round only if a pair new to M+ lies inside it that its own evaluation
+/// did not add; under MMP an evaluation that produced maximal messages
+/// counts as adding none. For kMmp the matcher must be a
 /// ProbabilisticMatcher. By the schemes' consistency property the final
 /// match set equals the sequential drivers' output.
 GridResult RunGrid(const Matcher& matcher, const Cover& cover,

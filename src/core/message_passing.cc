@@ -80,12 +80,13 @@ MpEngine::MpEngine(const Matcher& matcher, MpScheme scheme, MatchSet& matched,
 
 MpEngine::Evaluation MpEngine::Evaluate(
     const std::vector<data::EntityId>& entities) const {
-  Evaluation out{.matches = matcher_.Match(entities, matched_),
+  const MatchSet matches = matcher_.Match(entities, matched_);
+  Evaluation out{.added = matches.Difference(matched_),
                  .messages = {},
                  .matcher_calls = 1};
   if (probabilistic_ != nullptr) {
     size_t conditioned_calls = 0;
-    out.messages = ComputeMaximal(matcher_, entities, matched_, out.matches,
+    out.messages = ComputeMaximal(matcher_, entities, matched_, matches,
                                   &conditioned_calls);
     out.matcher_calls += conditioned_calls;
   }
@@ -94,16 +95,16 @@ MpEngine::Evaluation MpEngine::Evaluate(
 
 std::vector<data::EntityPair> MpEngine::Fold(
     std::span<const Evaluation> evaluations) {
-  // Step 6: M+ ∪= MC for every evaluation.
+  // Step 6: M+ ∪= MC for every evaluation. The rest of MC is in M+
+  // already, and M+ only grows, so its added pairs are all there is to fold.
   std::vector<data::EntityPair> new_matches;
   for (const Evaluation& e : evaluations) {
     ++evaluations_;
     matcher_calls_ += e.matcher_calls;
     messages_created_ += e.messages.size();
-    const std::vector<data::EntityPair> fresh = e.matches.Difference(matched_);
-    if (fresh.empty()) continue;
-    new_matches.insert(new_matches.end(), fresh.begin(), fresh.end());
-    matched_.InsertAll(e.matches);
+    for (const data::EntityPair& p : e.added) {
+      if (matched_.Insert(p)) new_matches.push_back(p);
+    }
   }
   if (probabilistic_ == nullptr) return new_matches;
 
@@ -158,7 +159,9 @@ MpResult RunNoMp(const Matcher& matcher, const Cover& cover) {
   MatchSet no_evidence;
   const MpEngine engine(matcher, MpScheme::kNoMp, no_evidence);
   for (const Neighborhood& n : cover.neighborhoods()) {
-    result.matches.InsertAll(engine.Evaluate(n.entities).matches);
+    for (const data::EntityPair& p : engine.Evaluate(n.entities).added) {
+      result.matches.Insert(p);
+    }
     ++result.neighborhood_evaluations;
     ++result.matcher_calls;
   }

@@ -59,14 +59,17 @@ std::vector<uint32_t> AffectedBy(const CoverMembership& membership,
 /// The one message-passing loop behind every driver: steps 5-8 of
 /// Algorithms 1 and 3 over the evidence (M+, T). M+ is the caller's match
 /// set; T (MMP's maximal messages) lives here. A schedule Evaluates
-/// neighborhoods, Folds the evaluations and re-activates what is AffectedBy
-/// the new pairs: Drain is the sequential one, RunGrid the Map/Reduce one.
+/// neighborhoods, Folds the evaluations and re-activates the neighborhoods
+/// the new pairs reach: Drain is the sequential one, RunGrid the Map/Reduce
+/// one.
 class MpEngine {
  public:
   /// Step 5's output for one neighborhood C.
   struct Evaluation {
-    /// MC = E(C, M+).
-    MatchSet matches;
+    /// MC \ M+, sorted: the pairs of MC = E(C, M+) new to the M+ it ran
+    /// against. Evaluate probes M+ itself, so a grid round does it in its
+    /// parallel map.
+    std::vector<data::EntityPair> added;
     /// TC = COMPUTEMAXIMAL(C, M+) (MMP only).
     std::vector<MaximalMessage> messages;
     /// Matcher invocations: the Match plus COMPUTEMAXIMAL's clamped runs.
@@ -87,9 +90,9 @@ class MpEngine {
   /// evaluates its neighborhoods concurrently between folds.
   Evaluation Evaluate(const std::vector<data::EntityId>& entities) const;
 
-  /// Steps 6-7 over `evaluations`, in the order given: each difference goes
-  /// into M+; under MMP the messages are merged into T and the sound ones
-  /// promoted. Returns the pairs new to M+.
+  /// Steps 6-7 over `evaluations`, in the order given: each evaluation's
+  /// added pairs go into M+; under MMP the messages are merged into T and
+  /// the sound ones promoted. Returns the pairs new to M+, each once.
   std::vector<data::EntityPair> Fold(std::span<const Evaluation> evaluations);
 
   /// The sequential schedule: pops `active` until it drains, evaluating

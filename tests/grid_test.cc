@@ -1,6 +1,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,10 +25,25 @@ class GridFigure1 : public ::testing::Test {
     for (const auto& n : fig_.neighborhoods) cover_.Add(n);
   }
 
+  /// Runs `scheme` on 2 simulated machines over a hand-built cover.
+  GridResult RunOn(const Cover& cover, MpScheme scheme) const {
+    GridOptions options;
+    options.scheme = scheme;
+    options.num_machines = 2;
+    return RunGrid(matcher_, cover, options);
+  }
+
   data::Figure1 fig_;
   mln::MlnMatcher matcher_;
   Cover cover_;
 };
+
+/// Builds a cover from the listed neighborhoods, in order.
+Cover CoverOf(const std::vector<std::vector<data::EntityId>>& neighborhoods) {
+  Cover cover;
+  for (const auto& n : neighborhoods) cover.Add(n);
+  return cover;
+}
 
 TEST_F(GridFigure1, GridSmpEqualsSequentialSmp) {
   GridOptions options;
@@ -75,6 +91,47 @@ TEST_F(GridFigure1, OverheadAccountedPerRound) {
   const GridResult costly = RunGrid(matcher_, cover_, with_overhead);
   EXPECT_NEAR(costly.simulated_seconds - cheap.simulated_seconds,
               0.5 * costly.rounds, 0.3);
+}
+
+// The round rule: a neighborhood runs again only if a pair new to M+ lies
+// inside it that its own evaluation did not add. Running every neighborhood
+// a new pair reaches would cost each of these covers more evaluations.
+
+TEST_F(GridFigure1, NeighborhoodsDerivingTheSamePairDoNotRunAgain) {
+  // Both derive (c1,c2) from the shared coauthor d1 in round 1. The pair is
+  // new inside both, but each added it itself.
+  const Cover cover = CoverOf({{fig_.c1, fig_.c2, fig_.d1},
+                               {fig_.c1, fig_.c2, fig_.c3, fig_.d1}});
+  const GridResult grid = RunOn(cover, MpScheme::kSmp);
+  EXPECT_EQ(grid.rounds, 1u);
+  EXPECT_EQ(grid.neighborhood_evaluations, 2u);
+  EXPECT_EQ(grid.matches, MatchSet({data::EntityPair(fig_.c1, fig_.c2)}));
+  EXPECT_EQ(grid.matches, RunSmp(matcher_, cover).matches);
+}
+
+TEST_F(GridFigure1, NeighborhoodReachedByAnotherNeighborhoodsPairRunsAgain) {
+  // Round 1: C3 derives (c1,c2) and C2 nothing. Round 2 runs only C2, which
+  // now derives (b1,b2); that pair lies inside C2 alone, so it ends there.
+  const Cover cover = CoverOf({fig_.neighborhoods[1], fig_.neighborhoods[2]});
+  const GridResult grid = RunOn(cover, MpScheme::kSmp);
+  EXPECT_EQ(grid.rounds, 2u);
+  EXPECT_EQ(grid.neighborhood_evaluations, 3u);
+  EXPECT_EQ(grid.matches, MatchSet({data::EntityPair(fig_.b1, fig_.b2),
+                                    data::EntityPair(fig_.c1, fig_.c2)}));
+  EXPECT_EQ(grid.matches, RunSmp(matcher_, cover).matches);
+}
+
+TEST_F(GridFigure1, MmpNeighborhoodWithMessagesRunsAgain) {
+  // C2 plus d1 derives (b1,b2) and (c1,c2) itself and produces maximal
+  // messages, so it runs again; C3 derives (c1,c2) with no messages and
+  // rests.
+  std::vector<data::EntityId> c2_and_d1 = fig_.neighborhoods[1];
+  c2_and_d1.push_back(fig_.d1);
+  const Cover cover = CoverOf({c2_and_d1, fig_.neighborhoods[2]});
+  const GridResult grid = RunOn(cover, MpScheme::kMmp);
+  EXPECT_EQ(grid.rounds, 2u);
+  EXPECT_EQ(grid.neighborhood_evaluations, 3u);
+  EXPECT_EQ(grid.matches, RunMmp(matcher_, cover).matches);
 }
 
 TEST(GridTest, ParallelSpeedupOnRealCorpus) {
