@@ -1,7 +1,11 @@
 #include "data/tsv_io.h"
 
+#include <charconv>
+#include <cstddef>
+#include <cstdint>
 #include <fstream>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "util/string_util.h"
@@ -14,6 +18,22 @@ constexpr char kAuthorTag[] = "A";
 constexpr char kPaperTag[] = "P";
 constexpr char kAuthoredTag[] = "W";  // "wrote"
 constexpr char kCitesTag[] = "C";
+
+/// A buffered Authored or Cites record and the line it came from.
+struct Tuple {
+  EntityId from = 0;
+  EntityId to = 0;
+  size_t line = 0;
+};
+
+/// Parses all of `field` as a T; false on anything else (a sign on an
+/// unsigned type, a value out of T's range, trailing characters).
+template <typename T>
+bool ParseField(std::string_view field, T& out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+  return ec == std::errc() && ptr == end;
+}
 
 }  // namespace
 
@@ -52,55 +72,68 @@ Result<std::unique_ptr<Dataset>> LoadDatasetTsv(const std::string& path) {
   // Entity ids in the file must be dense and in insertion order; we verify.
   std::string line;
   size_t line_no = 0;
+  const auto bad_at = [&](size_t at, const std::string& why) {
+    return InvalidArgumentError(path + ":" + std::to_string(at) + ": " + why);
+  };
+  const auto bad = [&](const std::string& why) {
+    return bad_at(line_no, why);
+  };
   // Relation tuples are buffered until all entities exist.
-  std::vector<std::pair<EntityId, EntityId>> authored_tuples;
-  std::vector<std::pair<EntityId, EntityId>> cites_tuples;
+  std::vector<Tuple> authored_tuples;
+  std::vector<Tuple> cites_tuples;
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
     const std::vector<std::string> fields = Split(line, '\t');
-    auto bad = [&](const std::string& why) {
-      return InvalidArgumentError(path + ":" + std::to_string(line_no) +
-                                  ": " + why);
-    };
-    if (fields[0] == kAuthorTag) {
-      if (fields.size() != 5) return bad("author record needs 5 fields");
-      const EntityId id = dataset->AddAuthorRef(
-          fields[2], fields[3],
-          static_cast<uint32_t>(std::stoll(fields[4])));
-      if (id != static_cast<EntityId>(std::stoul(fields[1]))) {
-        return bad("non-dense entity id");
+    const bool author = fields[0] == kAuthorTag;
+    if (author || fields[0] == kPaperTag) {
+      if (fields.size() != 5) {
+        return bad(std::string(author ? "author" : "paper") +
+                   " record needs 5 fields");
       }
-    } else if (fields[0] == kPaperTag) {
-      if (fields.size() != 5) return bad("paper record needs 5 fields");
-      const EntityId id = dataset->AddPaper(
-          fields[2], std::stoi(fields[3]),
-          static_cast<uint32_t>(std::stoll(fields[4])));
-      if (id != static_cast<EntityId>(std::stoul(fields[1]))) {
-        return bad("non-dense entity id");
+      EntityId id = 0;
+      uint32_t truth = 0;
+      if (!ParseField(fields[1], id)) return bad("bad entity id");
+      if (!ParseField(fields[4], truth)) return bad("bad truth label");
+      if (id != dataset->num_entities()) return bad("non-dense entity id");
+      if (author) {
+        dataset->AddAuthorRef(fields[2], fields[3], truth);
+      } else {
+        int year = 0;
+        if (!ParseField(fields[3], year)) return bad("bad year");
+        dataset->AddPaper(fields[2], year, truth);
       }
-    } else if (fields[0] == kAuthoredTag) {
-      if (fields.size() != 3) return bad("authored record needs 3 fields");
-      authored_tuples.emplace_back(std::stoul(fields[1]),
-                                   std::stoul(fields[2]));
-    } else if (fields[0] == kCitesTag) {
-      if (fields.size() != 3) return bad("cites record needs 3 fields");
-      cites_tuples.emplace_back(std::stoul(fields[1]), std::stoul(fields[2]));
+    } else if (fields[0] == kAuthoredTag || fields[0] == kCitesTag) {
+      if (fields.size() != 3) return bad("relation record needs 3 fields");
+      Tuple tuple{.line = line_no};
+      if (!ParseField(fields[1], tuple.from) ||
+          !ParseField(fields[2], tuple.to)) {
+        return bad("bad entity id");
+      }
+      (fields[0] == kAuthoredTag ? authored_tuples : cites_tuples)
+          .push_back(tuple);
     } else {
       return bad("unknown record tag '" + fields[0] + "'");
     }
   }
-  for (const auto& [ref, paper] : authored_tuples) {
-    if (ref >= dataset->num_entities() || paper >= dataset->num_entities()) {
-      return InvalidArgumentError(path + ": authored tuple out of range");
+  const auto has_type = [&](EntityId e, EntityType type) {
+    return e < dataset->num_entities() && dataset->entity(e).type == type;
+  };
+  for (const Tuple& t : authored_tuples) {
+    if (!has_type(t.from, EntityType::kAuthorRef) ||
+        !has_type(t.to, EntityType::kPaper)) {
+      return bad_at(t.line,
+                    "authored tuple must name an author reference, then a "
+                    "paper");
     }
-    dataset->AddAuthored(ref, paper);
+    dataset->AddAuthored(t.from, t.to);
   }
-  for (const auto& [from, to] : cites_tuples) {
-    if (from >= dataset->num_entities() || to >= dataset->num_entities()) {
-      return InvalidArgumentError(path + ": cites tuple out of range");
+  for (const Tuple& t : cites_tuples) {
+    if (!has_type(t.from, EntityType::kPaper) ||
+        !has_type(t.to, EntityType::kPaper)) {
+      return bad_at(t.line, "cites tuple must name two papers");
     }
-    dataset->AddCites(from, to);
+    dataset->AddCites(t.from, t.to);
   }
   dataset->Finalize();
   return dataset;

@@ -265,5 +265,62 @@ TEST(TsvIoTest, MalformedLineIsError) {
   std::remove(path.c_str());
 }
 
+/// Loads `contents` from a temporary TSV file named after the running test
+/// (test processes may run concurrently).
+Result<std::unique_ptr<Dataset>> LoadTsvText(const std::string& contents) {
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".tsv";
+  FILE* f = fopen(path.c_str(), "w");
+  fputs(contents.c_str(), f);
+  fclose(f);
+  auto result = LoadDatasetTsv(path);
+  std::remove(path.c_str());
+  return result;
+}
+
+/// True if `status` is InvalidArgument and names line `line` of the file.
+bool RejectsLine(const Status& status, int line) {
+  return status.code() == StatusCode::kInvalidArgument &&
+         status.message().find(".tsv:" + std::to_string(line) + ":") !=
+             std::string::npos;
+}
+
+TEST(TsvIoTest, NonNumericIdIsError) {
+  auto result = LoadTsvText("A\tabc\tJohn\tSmith\t0\n");
+  EXPECT_TRUE(RejectsLine(result.status(), 1)) << result.status();
+}
+
+TEST(TsvIoTest, IdBeyondEntityIdRangeIsError) {
+  // 2^32 must not wrap around to entity 0.
+  auto result = LoadTsvText("A\t4294967296\tJohn\tSmith\t0\n");
+  EXPECT_TRUE(RejectsLine(result.status(), 1)) << result.status();
+}
+
+TEST(TsvIoTest, AuthoredTupleNamingPaperFirstIsError) {
+  auto result = LoadTsvText(
+      "A\t0\tJohn\tSmith\t0\n"
+      "P\t1\tTitle\t2000\t4294967295\n"
+      "W\t1\t0\n");
+  EXPECT_TRUE(RejectsLine(result.status(), 3)) << result.status();
+}
+
+TEST(TsvIoTest, CitesTupleNamingNonPaperIsError) {
+  auto result = LoadTsvText(
+      "A\t0\tJohn\tSmith\t0\n"
+      "P\t1\tTitle\t2000\t4294967295\n"
+      "\n"
+      "C\t1\t0\n");
+  EXPECT_TRUE(RejectsLine(result.status(), 4)) << result.status();
+}
+
+TEST(TsvIoTest, NoTruthLabelLoads) {
+  auto result = LoadTsvText("P\t0\tTitle\t-12\t4294967295\n");
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ((*result)->entity(0).truth, kNoTruth);
+  EXPECT_EQ((*result)->entity(0).year, -12);
+}
+
 }  // namespace
 }  // namespace cem::data
