@@ -11,9 +11,8 @@
 //    (tokens/s);
 //  * minhash  — legacy per-token scalar loop vs the batched kernel at
 //    kScalar and (when the CPU has it) kAvx2 (signatures/s, speedup);
-//  * scores   — set-based vs merge-based Jaccard, per-call-allocating vs
-//    scratch-reusing Jaro-Winkler, scalar vs SIMD EstimateJaccard
-//    (scores/s);
+//  * scores   — scalar vs SIMD EstimateJaccard, per-call-allocating vs
+//    scratch-reusing Jaro-Winkler (scores/s);
 //  * mmp      — sequential MMP (Algorithm 3) with the historical
 //    COMPUTEMAXIMAL (one copy of M+ per hypothesis) and full-sweep step 7
 //    vs core::RunMmp, same MLN matcher (seconds per run, speedup);
@@ -57,7 +56,6 @@
 #include <deque>
 #include <iterator>
 #include <memory>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -85,7 +83,6 @@
 #include "mln/map_inference.h"
 #include "mln/mln_matcher.h"
 #include "stream/incremental_cover.h"
-#include "text/jaccard.h"
 #include "text/jaro_winkler.h"
 #include "text/similarity_level.h"
 #include "text/token_arena.h"
@@ -117,18 +114,6 @@ std::vector<uint64_t> LegacySignature(const std::vector<std::string>& tokens,
     }
   }
   return signature;
-}
-
-/// The historical std::set-based JaccardSimilarity.
-double LegacyJaccard(const std::vector<std::string>& a,
-                     const std::vector<std::string>& b) {
-  std::set<std::string> sa(a.begin(), a.end());
-  std::set<std::string> sb(b.begin(), b.end());
-  if (sa.empty() && sb.empty()) return 1.0;
-  size_t intersection = 0;
-  for (const std::string& t : sa) intersection += sb.count(t);
-  const size_t uni = sa.size() + sb.size() - intersection;
-  return static_cast<double>(intersection) / static_cast<double>(uni);
 }
 
 /// The historical JaroSimilarity with its two per-call vector<bool> heap
@@ -655,26 +640,6 @@ int main() {
   };
 
   constexpr int kScoreReps = 5;
-  double legacy_jaccard_sum = 0;
-  const double legacy_jaccard_s = TimeBest(kScoreReps, [&] {
-    legacy_jaccard_sum = 0;
-    for (size_t p = 0; p < num_pairs; ++p) {
-      const auto [a, b] = pair_of(p);
-      legacy_jaccard_sum += LegacyJaccard(legacy_tokens[a], legacy_tokens[b]);
-    }
-  });
-
-  double merge_jaccard_sum = 0;
-  const double merge_jaccard_s = TimeBest(kScoreReps, [&] {
-    merge_jaccard_sum = 0;
-    for (size_t p = 0; p < num_pairs; ++p) {
-      const auto [a, b] = pair_of(p);
-      merge_jaccard_sum += text::HashedJaccard(corpus.doc(a), corpus.doc(b));
-    }
-  });
-  CEM_CHECK(legacy_jaccard_sum == merge_jaccard_sum)
-      << "merge Jaccard diverged from the set-based result";
-
   size_t estimate_agree = 0;
   const double estimate_scalar_s = TimeBest(kScoreReps, [&] {
     estimate_agree = 0;
@@ -725,12 +690,6 @@ int main() {
       << "scratch-reusing Jaro diverged from the allocating version";
 
   TableWriter scores({"scorer", "scores/s", "speedup"});
-  scores.AddRow({"jaccard: std::set",
-                 TableWriter::Num(PerSecond(num_pairs, legacy_jaccard_s), 0),
-                 "1.00"});
-  scores.AddRow({"jaccard: arena merge",
-                 TableWriter::Num(PerSecond(num_pairs, merge_jaccard_s), 0),
-                 TableWriter::Num(legacy_jaccard_s / merge_jaccard_s, 2)});
   scores.AddRow({"estimate: scalar",
                  TableWriter::Num(PerSecond(num_pairs, estimate_scalar_s), 0),
                  "1.00"});
@@ -746,7 +705,6 @@ int main() {
                  TableWriter::Num(PerSecond(num_pairs, scratch_jw_s), 0),
                  TableWriter::Num(legacy_jw_s / scratch_jw_s, 2)});
   report.Table("scores", scores);
-  report.Metric("speedup_jaccard_merge", legacy_jaccard_s / merge_jaccard_s);
 
   // --- mmp ------------------------------------------------------------------
   // Sequential MMP on a HEPTH-like corpus (large, ambiguous neighborhoods:

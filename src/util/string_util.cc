@@ -18,21 +18,6 @@ std::vector<std::string> Split(std::string_view text, char delimiter) {
   }
 }
 
-std::vector<std::string> SplitWhitespace(std::string_view text) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-    size_t start = i;
-    while (i < text.size() &&
-           !std::isspace(static_cast<unsigned char>(text[i])))
-      ++i;
-    if (i > start) out.emplace_back(text.substr(start, i - start));
-  }
-  return out;
-}
-
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view separator) {
   std::string out;

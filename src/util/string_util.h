@@ -11,9 +11,6 @@ namespace cem {
 /// Splits `text` on `delimiter`, keeping empty fields.
 std::vector<std::string> Split(std::string_view text, char delimiter);
 
-/// Splits `text` on runs of whitespace, dropping empty tokens.
-std::vector<std::string> SplitWhitespace(std::string_view text);
-
 /// Joins `parts` with `separator`.
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view separator);

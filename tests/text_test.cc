@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "text/jaccard.h"
 #include "text/jaro_winkler.h"
 #include "text/similarity_level.h"
 #include "text/token_arena.h"
@@ -66,25 +65,6 @@ TEST(JaroWinklerTest, PrefixBoostsScore) {
 TEST(JaroWinklerTest, BoundedByOne) {
   EXPECT_LE(JaroWinklerSimilarity("aaaa", "aaaa"), 1.0);
   EXPECT_LE(JaroWinklerSimilarity("aaaab", "aaaac", 0.25), 1.0);
-}
-
-// -------------------------------------------------------------- Jaccard --
-
-TEST(JaccardTest, SetSemantics) {
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "a", "b"}, {"a", "b", "b"}), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a"}, {"b"}), 0.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({}, {}), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "b"}, {"b", "c"}), 1.0 / 3.0);
-}
-
-TEST(JaccardTest, TokenJaccard) {
-  EXPECT_DOUBLE_EQ(TokenJaccard("john smith", "smith john"), 1.0);
-  EXPECT_DOUBLE_EQ(TokenJaccard("john smith", "mary jones"), 0.0);
-}
-
-TEST(JaccardTest, NgramJaccardDetectsTypos) {
-  EXPECT_GT(NgramJaccard("rastogi", "rastogy"), 0.4);
-  EXPECT_LT(NgramJaccard("rastogi", "garofalakis"), 0.2);
 }
 
 // ------------------------------------------------------ SimilarityLevel --
@@ -453,29 +433,6 @@ TEST(TokenCorpusTest, MovePreservesDocuments) {
   TokenCorpus moved(std::move(corpus));
   ASSERT_EQ(moved.num_docs(), 1u);
   EXPECT_EQ(Views(moved.doc(0)), (std::vector<std::string_view>{"alpha"}));
-}
-
-TEST(HashedJaccardTest, MatchesStringJaccardOnCorpusDocs) {
-  TokenCorpus corpus;
-  const std::vector<std::vector<std::string>> docs = {
-      {"a", "b", "c"},
-      {"b", "c", "d", "e"},
-      {},
-      {"a", "b", "c"},
-      {"x"},
-  };
-  for (const auto& tokens : docs) {
-    corpus.AppendDoc([&](TokenCorpus::DocBuilder& b) {
-      for (const std::string& token : tokens) b.EmitLower(token);
-    });
-  }
-  for (size_t i = 0; i < docs.size(); ++i) {
-    for (size_t j = 0; j < docs.size(); ++j) {
-      EXPECT_DOUBLE_EQ(HashedJaccard(corpus.doc(i), corpus.doc(j)),
-                       JaccardSimilarity(docs[i], docs[j]))
-          << i << " vs " << j;
-    }
-  }
 }
 
 }  // namespace

@@ -186,12 +186,6 @@ TEST(StringUtilTest, SplitKeepsEmptyFields) {
   EXPECT_EQ(Split("x", ','), (std::vector<std::string>{"x"}));
 }
 
-TEST(StringUtilTest, SplitWhitespaceDropsEmpty) {
-  EXPECT_EQ(SplitWhitespace("  a \t b\nc  "),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_TRUE(SplitWhitespace("   ").empty());
-}
-
 TEST(StringUtilTest, Join) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
