@@ -8,7 +8,8 @@
 # UndefinedBehaviorSanitizer build re-running the tier-1 suite (undefined
 # behaviour aborts the test), and a ThreadSanitizer build re-running the
 # concurrency-labeled suites, plus a build of the repository benchmark
-# (perfbench/) and its self-tests. Run from anywhere; a fresh checkout
+# (perfbench/), its self-tests and one short traced run of three of its
+# workloads with their output checks. Run from anywhere; a fresh checkout
 # passes end-to-end using only the committed baselines.
 #
 # Knobs:
@@ -83,6 +84,26 @@ cmake -S "${REPO_ROOT}/perfbench" -B "${PERFBENCH_BUILD_DIR}" \
 cmake --build "${PERFBENCH_BUILD_DIR}" -j "${JOBS}" \
   --target perfbench perfbench_selftest
 "${PERFBENCH_BUILD_DIR}/perfbench_selftest"
+
+echo "== repository benchmark output checks (perfbench run --trace 1)"
+# One short traced run of three workloads, whose output checks hold the
+# library to its own equivalences: grid-dblp's RunGrid matches equal
+# RunSmp's, mmp-hepth's RunMmp matches contain RunSmp's, and
+# durable-hepth's recovered state equals the dropped matcher's. A traced
+# run also checks that traced and untraced work counts agree, which a
+# Matcher virtual the runner's decorator does not forward would break. The
+# runner exits non-zero when any check fails.
+PERFBENCH_RUN_DIR="${PERFBENCH_BUILD_DIR}/ci-runs"
+for workload in grid-dblp mmp-hepth durable-hepth; do
+  rm -rf "${PERFBENCH_RUN_DIR}"
+  mkdir -p "${PERFBENCH_RUN_DIR}"
+  "${PERFBENCH_BUILD_DIR}/perfbench" gen --workload "${workload}" --seed 1 \
+    --out "${PERFBENCH_RUN_DIR}" > /dev/null
+  "${PERFBENCH_BUILD_DIR}/perfbench" run --workload "${workload}" --seed 1 \
+    --seconds 1 --trace 1 --corpus-dir "${PERFBENCH_RUN_DIR}" \
+    --work-dir "${PERFBENCH_RUN_DIR}"
+done
+rm -rf "${PERFBENCH_RUN_DIR}"
 
 echo "== bench regression gate (tracked counters, >15% slowdown fails)"
 BENCH_JSON_DIR="${BUILD_DIR}/bench-json"
