@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <vector>
 
@@ -21,27 +22,6 @@ double SimulatedMakespan(const std::vector<double>& task_seconds,
     load[rng.NextBounded(load.size())] += t;
   }
   return *std::max_element(load.begin(), load.end());
-}
-
-/// Calls `f(c)` for every neighborhood c holding both endpoints of `p`.
-template <typename F>
-void ForEachHomeOfBoth(const CoverMembership& membership, data::EntityPair p,
-                       F&& f) {
-  const std::vector<uint32_t>& in_a = membership.HomesOf(p.a);
-  const std::vector<uint32_t>& in_b = membership.HomesOf(p.b);
-  auto a = in_a.begin();
-  auto b = in_b.begin();
-  while (a != in_a.end() && b != in_b.end()) {
-    if (*a < *b) {
-      ++a;
-    } else if (*b < *a) {
-      ++b;
-    } else {
-      f(*a);
-      ++a;
-      ++b;
-    }
-  }
 }
 
 }  // namespace
@@ -64,6 +44,7 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
   // Per neighborhood C, during a reduce: the new pairs inside C x C that
   // C's own evaluation did not add. Zero between rounds.
   std::vector<int64_t> unexplained(cover.size(), 0);
+  std::vector<uint32_t> homes_of_both;
 
   while (!active.empty()) {
     if (engine.evaluations() >= cap) {
@@ -105,11 +86,17 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
     // Drain's `affected != c`.
     for (size_t i = 0; i < active.size(); ++i) {
       if (outputs[i].messages.empty()) {
-        unexplained[active[i]] = -static_cast<int64_t>(outputs[i].added.size());
+        unexplained[active[i]] =
+            -static_cast<int64_t>(outputs[i].added.size());
       }
     }
     for (const data::EntityPair& p : new_matches) {
-      ForEachHomeOfBoth(membership, p, [&](uint32_t c) { ++unexplained[c]; });
+      const std::vector<uint32_t>& in_a = membership.HomesOf(p.a);
+      const std::vector<uint32_t>& in_b = membership.HomesOf(p.b);
+      homes_of_both.clear();
+      std::set_intersection(in_a.begin(), in_a.end(), in_b.begin(),
+                            in_b.end(), std::back_inserter(homes_of_both));
+      for (uint32_t c : homes_of_both) ++unexplained[c];
     }
     active.clear();
     for (uint32_t c = 0; c < unexplained.size(); ++c) {
