@@ -60,8 +60,8 @@ std::vector<uint32_t> AffectedBy(const CoverMembership& membership,
 /// Algorithms 1 and 3 over the evidence (M+, T). M+ is the caller's match
 /// set; T (MMP's maximal messages) lives here. A schedule Evaluates
 /// neighborhoods, Folds the evaluations and re-activates the neighborhoods
-/// the new pairs reach: Drain is the sequential one, RunGrid the Map/Reduce
-/// one.
+/// whose output the new pairs can change: Drain is the sequential one,
+/// RunGrid the Map/Reduce one.
 class MpEngine {
  public:
   /// Step 5's output for one neighborhood C.
