@@ -15,6 +15,9 @@ Status SaveDatasetTsv(const Dataset& dataset, const std::string& path);
 
 /// Loads a dataset saved by SaveDatasetTsv. The result is Finalize()d but
 /// candidate pairs are NOT built; call BuildCandidatePairs() as needed.
+/// Malformed input yields InvalidArgument naming the file line: a field
+/// that is not a number of its exact type (ids and truth labels uint32, the
+/// year int), a non-dense id, or a tuple naming the wrong entity types.
 Result<std::unique_ptr<Dataset>> LoadDatasetTsv(const std::string& path);
 
 }  // namespace cem::data
