@@ -10,7 +10,7 @@
 //  * WAL overhead — full streamed replay with the WAL on vs off; the
 //    append+flush tax on every chunk.
 //  * snapshot save/load — MB/s over the versioned binary format, with the
-//    per-shard files written and read as parallel jobs.
+//    per-shard signature files written and read as parallel jobs.
 //  * recovery — WAL-replay rate (refs/s) vs live ingest: replay skips the
 //    durability tax, so a crash recovers faster than the run that fed it.
 //
@@ -68,8 +68,8 @@ int main() {
       "bit-identically, at a small constant tax on live ingest");
   bench::JsonReport report("bench_persist");
 
-  // Fixed shard count: the snapshot writes one signature + one LSH file
-  // per shard, so the gated byte counters must not follow the host's core
+  // Fixed shard count: the snapshot writes one signature file per shard,
+  // so the gated byte and file counters must not follow the host's core
   // count. Thread count stays hardware-sized (0) — results are
   // thread-invariant by the streaming determinism contract.
   ExecutionContext ctx(/*num_threads=*/0, /*num_shards=*/16);
@@ -186,7 +186,7 @@ int main() {
                    TableWriter::Num(Mbps(snap_bytes, load_seconds), 1)});
   report.Table("snapshot", snapshot);
   std::printf(
-      "Snapshot shards save and load as parallel jobs; the footprint "
+      "Signature shards save and load as parallel jobs; the footprint "
       "counters below pin the on-disk format size in CI.\n\n");
 
   // --- durability latency percentiles, from the instrumented persist

@@ -26,8 +26,6 @@ void LshIndex::BandKeysInto(const uint64_t* signature, uint64_t* out) const {
   // Pointer walk over the band slices: the signature components of band b
   // are the `rows` entries after b*rows, consumed in order — no per-row
   // index arithmetic, and the per-band seed comes from the hoisted table.
-  // The resulting key values are pinned by the snapshot format (saved
-  // bucket maps key on them); see BandKeys() in the header.
   const uint64_t* component = signature;
   for (uint32_t band = 0; band < params_.bands; ++band) {
     uint64_t key = band_seeds_[band];
@@ -132,27 +130,6 @@ void LshIndex::InsertBandKeys(const ExecutionContext& ctx) {
       shard.buckets[entry.key].push_back(entry.doc);
     }
   });
-}
-
-void LshIndex::RestoreSnapshot(
-    std::vector<BucketMap> buckets,
-    const std::vector<std::vector<uint64_t>>& signatures,
-    const ExecutionContext& ctx) {
-  CEM_CHECK(doc_added_.empty()) << "RestoreSnapshot on a non-empty index";
-  CEM_CHECK(buckets.size() == shards_.size())
-      << "restored bucket maps must match the shard count";
-  const size_t n = signatures.size();
-  doc_added_.assign(n, 1);
-  doc_band_keys_.resize(n * params_.bands);
-  ParallelFor(ctx.pool(), n, [&](size_t doc) {
-    CEM_CHECK(signatures[doc].size() == num_hashes_)
-        << "signature length mismatch with the index configuration";
-    BandKeysInto(signatures[doc].data(),
-                 doc_band_keys_.data() + doc * params_.bands);
-  });
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].buckets = std::move(buckets[s]);
-  }
 }
 
 std::vector<uint32_t> LshIndex::Candidates(uint32_t doc_id) const {

@@ -96,31 +96,11 @@ class LshIndex {
   static double CollisionProbability(double jaccard, uint32_t bands,
                                      uint32_t rows);
 
-  /// The `bands` bucket keys of one signature. Pure; public so the
-  /// snapshot loader re-derives per-document keys from the persisted
-  /// signatures instead of storing them twice. The key VALUES are part of
-  /// the on-disk snapshot format (saved bucket maps are keyed by them), so
-  /// this chain must never change — only get faster.
+  /// The `bands` bucket keys of one signature. Pure; public so tests can
+  /// brute-force candidate sets. Key values are not persisted: a snapshot
+  /// stores the signatures and a restore recomputes the keys, so this chain
+  /// may change without a snapshot format bump.
   std::vector<uint64_t> BandKeys(const std::vector<uint64_t>& signature) const;
-
-  /// Bucket key -> member doc ids, in insertion (= doc id) order.
-  using BucketMap = std::unordered_map<uint64_t, std::vector<uint32_t>>;
-
-  /// Read-only view of one shard's buckets — what the snapshot saver
-  /// serialises (sorted by key at write time; map order is incidental).
-  const BucketMap& shard_buckets(size_t shard) const {
-    return shards_[shard].buckets;
-  }
-
-  /// Restores a saved index wholesale: installs per-shard bucket maps
-  /// captured from an index with the same shard count, and re-derives each
-  /// document's band keys from `signatures` in parallel on `ctx`. The
-  /// index must be empty and `buckets.size()` must equal num_shards();
-  /// callers holding a different shard count rebuild via AddDocuments
-  /// instead (identical queries either way — the shard-count contract).
-  void RestoreSnapshot(std::vector<BucketMap> buckets,
-                       const std::vector<std::vector<uint64_t>>& signatures,
-                       const ExecutionContext& ctx);
 
  private:
   /// Shard owning bucket `key`; keys are already avalanche-mixed, so the
@@ -148,7 +128,8 @@ class LshIndex {
   void InsertBandKeys(const ExecutionContext& ctx);
 
   struct Shard {
-    BucketMap buckets;
+    /// Bucket key -> member doc ids, in insertion (= doc id) order.
+    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
   };
 
   LshParams params_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <iterator>
 
 #include "obs/metrics.h"
@@ -29,32 +28,25 @@ bool ContainsSorted(const std::vector<data::EntityId>& sorted,
 Cover::Cover(std::vector<Neighborhood> neighborhoods)
     : neighborhoods_(std::move(neighborhoods)) {
   for (Neighborhood& n : neighborhoods_) Normalize(n.entities);
+  membership_ = CoverMembership(*this);
 }
 
 size_t Cover::Add(std::vector<data::EntityId> entities) {
   Normalize(entities);
+  const auto i = static_cast<uint32_t>(neighborhoods_.size());
+  for (data::EntityId e : entities) membership_.Add(e, i);
   neighborhoods_.push_back(Neighborhood{std::move(entities)});
-  return neighborhoods_.size() - 1;
+  return i;
 }
 
-void Cover::AddEntityTo(size_t i, data::EntityId entity) {
+bool Cover::AddEntityTo(size_t i, data::EntityId entity) {
   CEM_CHECK(i < neighborhoods_.size());
   std::vector<data::EntityId>& v = neighborhoods_[i].entities;
   auto it = std::lower_bound(v.begin(), v.end(), entity);
-  if (it == v.end() || *it != entity) v.insert(it, entity);
-}
-
-void Cover::AddEntitiesTo(size_t i, std::span<const data::EntityId> entities) {
-  CEM_CHECK(i < neighborhoods_.size());
-  CEM_DCHECK(std::adjacent_find(entities.begin(), entities.end(),
-                                std::greater_equal<>()) == entities.end())
-      << "entities must be sorted and duplicate-free";
-  std::vector<data::EntityId>& v = neighborhoods_[i].entities;
-  std::vector<data::EntityId> merged;
-  merged.reserve(v.size() + entities.size());
-  std::set_union(v.begin(), v.end(), entities.begin(), entities.end(),
-                 std::back_inserter(merged));
-  v = std::move(merged);
+  if (it != v.end() && *it == entity) return false;
+  v.insert(it, entity);
+  membership_.Add(entity, static_cast<uint32_t>(i));
+  return true;
 }
 
 size_t Cover::MaxNeighborhoodSize() const {
@@ -93,20 +85,18 @@ size_t Cover::TotalContainedPairs(const data::Dataset& dataset) const {
 }
 
 bool Cover::CoversAllAuthorRefs(const data::Dataset& dataset) const {
-  const CoverMembership membership(*this);
   for (data::EntityId ref : dataset.author_refs()) {
-    if (!membership.Contains(ref)) return false;
+    if (!membership_.Contains(ref)) return false;
   }
   return true;
 }
 
 bool Cover::IsTotalForCoauthor(const data::Dataset& dataset) const {
   // Every Coauthor tuple (u, v) must lie inside some neighborhood.
-  const CoverMembership membership(*this);
   for (data::EntityId u : dataset.author_refs()) {
     for (data::EntityId v : dataset.Coauthors(u)) {
       if (v < u) continue;  // Each symmetric tuple once.
-      if (!membership.Together(u, v)) return false;
+      if (!membership_.Together(u, v)) return false;
     }
   }
   return true;
@@ -114,10 +104,9 @@ bool Cover::IsTotalForCoauthor(const data::Dataset& dataset) const {
 
 double Cover::CandidatePairCoverage(const data::Dataset& dataset) const {
   if (dataset.num_candidate_pairs() == 0) return 1.0;
-  const CoverMembership membership(*this);
   size_t covered = 0;
   for (const data::CandidatePair& cp : dataset.candidate_pairs()) {
-    if (membership.Together(cp.pair.a, cp.pair.b)) ++covered;
+    if (membership_.Together(cp.pair.a, cp.pair.b)) ++covered;
   }
   return static_cast<double>(covered) /
          static_cast<double>(dataset.num_candidate_pairs());
@@ -239,7 +228,7 @@ constexpr size_t kPatchChunk = 64;
 void PatchPairCoverage(const data::Dataset& dataset, Cover& cover,
                        const ExecutionContext& ctx, PatchStats* stats) {
   CEM_TRACE("core/patch_pair_coverage");
-  CoverMembership homes(cover);
+  const CoverMembership& homes = cover.membership();
 
   const std::vector<data::CandidatePair>& pairs = dataset.candidate_pairs();
   const size_t num_pairs = pairs.size();
@@ -271,9 +260,7 @@ void PatchPairCoverage(const data::Dataset& dataset, Cover& cover,
         if (homes.Together(p.a, p.b)) continue;
       }
       CEM_CHECK(homes.Contains(p.a)) << "cover must contain every ref";
-      const uint32_t home = homes.FirstHome(p.a);
-      cover.AddEntityTo(home, p.b);
-      homes.Add(p.b, home);
+      cover.AddEntityTo(homes.FirstHome(p.a), p.b);
       ++patched;
       dirty = true;
     }
@@ -297,20 +284,27 @@ void PatchPairCoverage(const data::Dataset& dataset, Cover& cover,
 void ExpandCoauthorBoundary(const data::Dataset& dataset, Cover& cover,
                             const ExecutionContext& ctx) {
   CEM_TRACE("core/expand_coauthor_boundary");
-  // Each iteration mutates only neighborhood i (AddEntitiesTo never resizes
-  // the neighborhood vector itself), so neighborhoods expand in parallel
-  // without synchronisation. The coauthors of all members are gathered
-  // before any is added, so one round adds exactly the original members'
-  // coauthors.
+  // Each iteration mutates only neighborhood i, so neighborhoods expand in
+  // parallel without synchronisation; the membership, which every worker
+  // would touch, is rebuilt once afterwards. The coauthors of all members
+  // are gathered before any is added, so one round adds exactly the
+  // original members' coauthors.
+  cover.membership_ = {};
   ParallelFor(ctx.pool(), cover.size(), [&](size_t i) {
+    std::vector<data::EntityId>& members = cover.neighborhoods_[i].entities;
     std::vector<data::EntityId> boundary;
-    for (data::EntityId e : cover.neighborhood(i).entities) {
+    for (data::EntityId e : members) {
       const std::vector<data::EntityId>& coauthors = dataset.Coauthors(e);
       boundary.insert(boundary.end(), coauthors.begin(), coauthors.end());
     }
     Normalize(boundary);
-    cover.AddEntitiesTo(i, boundary);
+    std::vector<data::EntityId> merged;
+    merged.reserve(members.size() + boundary.size());
+    std::set_union(members.begin(), members.end(), boundary.begin(),
+                   boundary.end(), std::back_inserter(merged));
+    members = std::move(merged);
   });
+  cover.membership_ = CoverMembership(cover);
 }
 
 std::string Cover::Summary(const data::Dataset& dataset) const {

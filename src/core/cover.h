@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -12,6 +11,8 @@
 #include "util/execution_context.h"
 
 namespace cem::core {
+
+class Cover;
 
 /// A neighborhood: a small subset of the entities (Section 4). Kept sorted
 /// and duplicate-free.
@@ -25,63 +26,6 @@ struct BlockingStats {
   /// Number of (doc, doc) pairs the blocking pass scored or bucketed
   /// together — the dominant cost of candidate generation.
   size_t pairs_considered = 0;
-};
-
-/// A cover: a set of (potentially overlapping) neighborhoods whose union is
-/// the set of entities under consideration (here: the author references —
-/// papers participate through relations only).
-class Cover {
- public:
-  Cover() = default;
-  explicit Cover(std::vector<Neighborhood> neighborhoods);
-
-  size_t size() const { return neighborhoods_.size(); }
-  bool empty() const { return neighborhoods_.empty(); }
-  const Neighborhood& neighborhood(size_t i) const { return neighborhoods_[i]; }
-  const std::vector<Neighborhood>& neighborhoods() const {
-    return neighborhoods_;
-  }
-
-  /// Adds a neighborhood (sorted/deduplicated on insert); returns its index.
-  size_t Add(std::vector<data::EntityId> entities);
-
-  /// Adds `entity` to neighborhood `i` if not already present.
-  void AddEntityTo(size_t i, data::EntityId entity);
-
-  /// Adds every one of `entities` — sorted and duplicate-free — to
-  /// neighborhood `i` if not already present, in one merge.
-  void AddEntitiesTo(size_t i, std::span<const data::EntityId> entities);
-
-  /// Largest neighborhood size (the paper's k).
-  size_t MaxNeighborhoodSize() const;
-
-  /// Mean neighborhood size.
-  double MeanNeighborhoodSize() const;
-
-  /// Candidate pairs with both endpoints in neighborhood `i`.
-  size_t ContainedPairs(const data::Dataset& dataset, size_t i) const;
-
-  /// Total candidate pairs contained in some neighborhood, counted with
-  /// multiplicity (the paper reports e.g. "13K neighborhoods containing a
-  /// total of 1.3M entity pairs").
-  size_t TotalContainedPairs(const data::Dataset& dataset) const;
-
-  /// True if every author reference appears in some neighborhood.
-  bool CoversAllAuthorRefs(const data::Dataset& dataset) const;
-
-  /// True if this is a *total cover* w.r.t. Coauthor (Definition 7): every
-  /// Coauthor tuple lies inside some neighborhood.
-  bool IsTotalForCoauthor(const data::Dataset& dataset) const;
-
-  /// Fraction of candidate pairs contained in at least one neighborhood
-  /// (1.0 means total w.r.t. the Similar relation).
-  double CandidatePairCoverage(const data::Dataset& dataset) const;
-
-  /// One-line summary for logs and bench output.
-  std::string Summary(const data::Dataset& dataset) const;
-
- private:
-  std::vector<Neighborhood> neighborhoods_;
 };
 
 /// One entity's row of a CoverMembership, in serializable form: the
@@ -105,19 +49,19 @@ struct MembershipEntry {
 /// target of PatchPairCoverage, which is the first neighborhood recorded,
 /// not the lowest one, once an entity joins a lower neighborhood later.
 ///
-/// Shared by the batch message-passing runs, the batch patch pass and the
-/// streaming layer's incremental cover maintenance: the latter two mutate a
-/// Cover through AddEntityTo and mirror the change here. Read methods are
-/// safe to call concurrently as long as no Add() runs (the speculative
-/// patch scans rely on this). Add() may grow the table, which invalidates
-/// references returned by HomesOf.
+/// Every Cover owns one (Cover::membership()) and keeps it current. The
+/// streaming layer also keeps a second one by hand: the core membership of
+/// its incremental cover. Read methods are safe to call concurrently as
+/// long as no Add() runs (the speculative patch scans rely on this). Add()
+/// may grow the table, which invalidates references returned by HomesOf.
 class CoverMembership {
  public:
   /// Empty membership (streaming: the cover grows from nothing).
   CoverMembership() = default;
 
-  /// Membership of an existing cover; neighborhoods are recorded in index
-  /// order, so FirstHome is each entity's lowest containing neighborhood.
+  /// Membership of `cover`, counted from its neighborhoods. They are
+  /// recorded in index order, so FirstHome is each entity's lowest
+  /// containing neighborhood.
   explicit CoverMembership(const Cover& cover);
 
   /// True if `e` belongs to at least one neighborhood.
@@ -162,6 +106,71 @@ class CoverMembership {
   static const std::vector<uint32_t> kEmptyHomes;
 };
 
+/// A cover: a set of (potentially overlapping) neighborhoods whose union is
+/// the set of entities under consideration (here: the author references —
+/// papers participate through relations only). It owns its membership, and
+/// every mutator keeps it current.
+class Cover {
+ public:
+  Cover() = default;
+  explicit Cover(std::vector<Neighborhood> neighborhoods);
+
+  size_t size() const { return neighborhoods_.size(); }
+  bool empty() const { return neighborhoods_.empty(); }
+  const Neighborhood& neighborhood(size_t i) const { return neighborhoods_[i]; }
+  const std::vector<Neighborhood>& neighborhoods() const {
+    return neighborhoods_;
+  }
+
+  /// Entity -> neighborhood index of this cover. An entity's first home is
+  /// the first neighborhood it joined through Add or AddEntityTo; a cover
+  /// built from a neighborhood list records the lowest one.
+  const CoverMembership& membership() const { return membership_; }
+
+  /// Adds a neighborhood (sorted/deduplicated on insert); returns its index.
+  size_t Add(std::vector<data::EntityId> entities);
+
+  /// Adds `entity` to neighborhood `i`; returns false if it was there.
+  bool AddEntityTo(size_t i, data::EntityId entity);
+
+  /// Largest neighborhood size (the paper's k).
+  size_t MaxNeighborhoodSize() const;
+
+  /// Mean neighborhood size.
+  double MeanNeighborhoodSize() const;
+
+  /// Candidate pairs with both endpoints in neighborhood `i`.
+  size_t ContainedPairs(const data::Dataset& dataset, size_t i) const;
+
+  /// Total candidate pairs contained in some neighborhood, counted with
+  /// multiplicity (the paper reports e.g. "13K neighborhoods containing a
+  /// total of 1.3M entity pairs").
+  size_t TotalContainedPairs(const data::Dataset& dataset) const;
+
+  /// True if every author reference appears in some neighborhood.
+  bool CoversAllAuthorRefs(const data::Dataset& dataset) const;
+
+  /// True if this is a *total cover* w.r.t. Coauthor (Definition 7): every
+  /// Coauthor tuple lies inside some neighborhood.
+  bool IsTotalForCoauthor(const data::Dataset& dataset) const;
+
+  /// Fraction of candidate pairs contained in at least one neighborhood
+  /// (1.0 means total w.r.t. the Similar relation).
+  double CandidatePairCoverage(const data::Dataset& dataset) const;
+
+  /// One-line summary for logs and bench output.
+  std::string Summary(const data::Dataset& dataset) const;
+
+ private:
+  /// Grows neighborhoods in parallel, then rebuilds membership_ once.
+  friend void ExpandCoauthorBoundary(const data::Dataset& dataset,
+                                     Cover& cover,
+                                     const ExecutionContext& ctx);
+
+  std::vector<Neighborhood> neighborhoods_;
+  CoverMembership membership_;
+};
+
 // --- totality patches -------------------------------------------------------
 // Shared by every cover builder (canopy, LSH, future strategies): a raw
 // blocking pass rarely produces a cover satisfying Definition 7 on its own,
@@ -186,7 +195,7 @@ struct PatchStats {
 ///
 /// Parallel *and* bit-identical to the serial pass for any thread count:
 /// split-pair detection runs in fixed-size batches on `ctx`'s pool against
-/// a read-only snapshot of the entity->neighborhood map, while the repairs
+/// the cover's membership as of the previous batch, while the repairs
 /// themselves replay serially in candidate-pair order. Neighborhood
 /// membership only ever grows, so a speculative "together" verdict is
 /// final; a speculative "split" verdict is re-verified serially when an
@@ -201,7 +210,8 @@ void PatchPairCoverage(
 /// is what brings dissimilar entities — and in general entities of other
 /// types — into a neighborhood. Neighborhoods are expanded in parallel on
 /// `ctx` (each worker owns whole neighborhoods, so the result is identical
-/// for any thread count).
+/// for any thread count); the cover's membership is rebuilt once at the
+/// end, so every entity's first home becomes its lowest one.
 void ExpandCoauthorBoundary(
     const data::Dataset& dataset, Cover& cover,
     const ExecutionContext& ctx = ExecutionContext::Default());

@@ -26,7 +26,8 @@ Cover AssembleCanopies(const std::vector<data::EntityId>& refs, uint64_t seed,
   rng.Shuffle(seed_order);
 
   std::vector<bool> seeded_out(num_docs, false);
-  Cover cover;
+  // Collected first, so the cover's membership is counted once at the end.
+  std::vector<Neighborhood> neighborhoods;
   size_t considered = 0;
 
   std::vector<uint32_t> batch;
@@ -63,12 +64,12 @@ Cover AssembleCanopies(const std::vector<data::EntityId>& refs, uint64_t seed,
         members.push_back(refs[candidate.doc_id]);
         if (candidate.score >= tight) seeded_out[candidate.doc_id] = true;
       }
-      cover.Add(std::move(members));
+      neighborhoods.push_back({std::move(members)});
     }
   }
 
   if (pairs_considered != nullptr) *pairs_considered = considered;
-  return cover;
+  return Cover(std::move(neighborhoods));
 }
 
 }  // namespace cem::core

@@ -32,7 +32,7 @@ GridResult RunGrid(const Matcher& matcher, const Cover& cover,
   GridResult result;
   MpEngine engine(matcher, options.scheme, result.matches);
   Rng rng(options.seed);
-  const CoverMembership membership(cover);
+  const CoverMembership& membership = cover.membership();
   ThreadPool& pool = options.context != nullptr
                          ? options.context->pool()
                          : ExecutionContext::Default().pool();

@@ -10,14 +10,13 @@ namespace cem::core {
 namespace {
 
 /// SMP and both MMP variants: seed the active set with `initial_order`,
-/// then 0..n-1, and drain it over the cover's membership.
+/// then 0..n-1, and drain it.
 MpResult RunSequential(const Matcher& matcher, const Cover& cover,
                        const MpOptions& options, MpScheme scheme,
                        bool merge_messages = true) {
   Timer timer;
   MpResult result;
   MpEngine engine(matcher, scheme, result.matches, merge_messages);
-  const CoverMembership membership(cover);
   ActiveSet active;
   for (uint32_t id : options.initial_order) {
     if (id < cover.size()) active.Push(id);
@@ -27,7 +26,7 @@ MpResult RunSequential(const Matcher& matcher, const Cover& cover,
       options.max_evaluations > 0
           ? options.max_evaluations
           : EvaluationCap(cover.size(), cover.MaxNeighborhoodSize());
-  engine.Drain(cover, active, membership, cap);
+  engine.Drain(cover, active, cap);
   result.neighborhood_evaluations = engine.evaluations();
   result.matcher_calls = engine.matcher_calls();
   result.messages_created = engine.messages_created();
@@ -132,8 +131,7 @@ std::vector<data::EntityPair> MpEngine::Fold(
   return new_matches;
 }
 
-void MpEngine::Drain(const Cover& cover, ActiveSet& active,
-                     const CoverMembership& membership, size_t cap,
+void MpEngine::Drain(const Cover& cover, ActiveSet& active, size_t cap,
                      const OnEvaluate& on_evaluate) {
   for (size_t evaluations = 0; !active.empty(); ++evaluations) {
     if (evaluations >= cap) {
@@ -146,7 +144,7 @@ void MpEngine::Drain(const Cover& cover, ActiveSet& active,
     if (on_evaluate) on_evaluate(c, evaluation);
     // Step 8: re-activate the neighborhoods affected by anything new.
     for (uint32_t affected :
-         AffectedBy(membership, Fold({&evaluation, 1}))) {
+         AffectedBy(cover.membership(), Fold({&evaluation, 1}))) {
       if (affected != c) active.Push(affected);
     }
   }

@@ -97,12 +97,11 @@ class MpEngine {
 
   /// The sequential schedule: pops `active` until it drains, evaluating
   /// and folding one neighborhood at a time and re-activating the
-  /// neighborhoods AffectedBy its new pairs (except itself: by idempotence
-  /// it cannot add to its own output). Stops with a warning after `cap`
-  /// evaluations; `on_evaluate`, if set, sees every evaluation.
-  /// `membership` must mirror `cover`.
-  void Drain(const Cover& cover, ActiveSet& active,
-             const CoverMembership& membership, size_t cap,
+  /// neighborhoods AffectedBy its new pairs over the cover's membership
+  /// (except itself: by idempotence it cannot add to its own output). Stops
+  /// with a warning after `cap` evaluations; `on_evaluate`, if set, sees
+  /// every evaluation.
+  void Drain(const Cover& cover, ActiveSet& active, size_t cap,
              const OnEvaluate& on_evaluate = {});
 
   /// Work folded since construction.

@@ -16,8 +16,17 @@ namespace cem::persist {
 // rejects newer files with a clear "unsupported version" status (pinned by
 // the golden-fixture tests).
 
-/// Format version of snapshot section files. v1: the initial layout.
-inline constexpr uint32_t kSnapshotVersion = 1;
+/// Format version of snapshot section files and token-index files.
+///   v1: the initial layout. cover.bin also holds the full membership rows
+///       (the MANIFEST counts them), and lsh_<s>.bin files hold each LSH
+///       shard's buckets.
+///   v2: derived state is gone. cover.bin holds the neighborhoods and the
+///       core rows only, and there are no lsh_<s>.bin files: a restore
+///       rebuilds the membership from the neighborhoods and the buckets
+///       from the signatures. Token-index files are unchanged.
+/// The reader still loads v1: it decodes and validates the full rows, then
+/// drops them, and it never opens lsh_<s>.bin.
+inline constexpr uint32_t kSnapshotVersion = 2;
 /// Format version of the ingest WAL. v1: header record (fingerprint +
 /// base insert count) + chunk records.
 inline constexpr uint32_t kWalVersion = 1;
@@ -36,7 +45,7 @@ enum class Section : uint8_t {
   kMatches = 3,
   kCover = 4,
   kSignatures = 5,
-  kLshShard = 6,
+  // 6 tagged v1's lsh_<s>.bin files, which no reader opens.
   kTokenMeta = 7,
   kTokenShard = 8,
 };

@@ -111,13 +111,21 @@ stream::IngestStats GetIngestStats(io::Cursor& in) {
   return s;
 }
 
-/// Reads one snapshot section file and validates its section tag; returns
-/// the payload bytes positioned after the tag via `cursor_out`.
+/// Reads one snapshot section file and validates its version and section
+/// tag. A zero `*version` accepts any version this reader knows and
+/// reports it (the MANIFEST); every other file must carry the MANIFEST's.
 Status ReadSection(const std::string& path, Section expected,
-                   std::string* payload) {
-  Result<std::string> bytes =
-      io::ReadFramedFile(path, kSnapshotMagic, kSnapshotVersion);
+                   uint32_t* version, std::string* payload) {
+  uint32_t file_version = 0;
+  Result<std::string> bytes = io::ReadFramedFile(path, kSnapshotMagic,
+                                                 kSnapshotVersion,
+                                                 &file_version);
   if (!bytes.ok()) return bytes.status();
+  if (*version == 0) {
+    *version = file_version;
+  } else if (file_version != *version) {
+    return InvalidArgumentError(path + ": version differs from MANIFEST");
+  }
   *payload = std::move(bytes.value());
   if (payload->empty() ||
       static_cast<uint8_t>((*payload)[0]) != static_cast<uint8_t>(expected)) {
@@ -133,6 +141,7 @@ struct Manifest {
   uint64_t num_neighborhoods = 0;
   uint64_t num_matches = 0;
   uint64_t num_core_entries = 0;
+  /// v1 only: the full membership rows cover.bin also held.
   uint64_t num_full_entries = 0;
 };
 
@@ -208,14 +217,12 @@ Status SaveSnapshot(const std::string& dir,
       for (data::EntityId e : members) out.PutU32(e);
     }
     PutMembershipEntries(out, cover.core_membership().SortedEntries());
-    PutMembershipEntries(out, cover.full_membership().SortedEntries());
     CEM_RETURN_IF_ERROR(io::WriteFramedFile((snap_dir / "cover.bin").string(),
                                             kSnapshotMagic, kSnapshotVersion,
                                             out.bytes(), faults, sync));
   }
 
-  // Shard files: one parallel-for job per shard writes that shard's
-  // signature slice and its LSH buckets.
+  // Signature shard files, one parallel-for job per shard.
   std::vector<Status> shard_status(num_shards);
   ParallelFor(ctx.pool(), num_shards, [&](size_t s) {
     io::Buffer sig;
@@ -232,31 +239,9 @@ Status SaveSnapshot(const std::string& dir,
         sig.PutU64(component);
       }
     }
-    Status status = io::WriteFramedFile(
+    shard_status[s] = io::WriteFramedFile(
         (snap_dir / ShardFileName("sig", s)).string(), kSnapshotMagic,
         kSnapshotVersion, sig.bytes(), faults, sync);
-    if (status.ok()) {
-      const blocking::LshIndex::BucketMap& buckets = index.shard_buckets(s);
-      std::vector<uint64_t> bucket_keys;
-      bucket_keys.reserve(buckets.size());
-      for (const auto& [key, docs] : buckets) bucket_keys.push_back(key);
-      std::sort(bucket_keys.begin(), bucket_keys.end());
-      io::Buffer lsh;
-      lsh.PutU8(static_cast<uint8_t>(Section::kLshShard));
-      lsh.PutU32(static_cast<uint32_t>(s));
-      lsh.PutU32(static_cast<uint32_t>(num_shards));
-      lsh.PutU64(bucket_keys.size());
-      for (uint64_t key : bucket_keys) {
-        const std::vector<uint32_t>& docs = buckets.at(key);
-        lsh.PutU64(key);
-        lsh.PutU32(static_cast<uint32_t>(docs.size()));
-        for (uint32_t doc : docs) lsh.PutU32(doc);
-      }
-      status = io::WriteFramedFile((snap_dir / ShardFileName("lsh", s)).string(),
-                                   kSnapshotMagic, kSnapshotVersion,
-                                   lsh.bytes(), faults, sync);
-    }
-    shard_status[s] = status;
   });
   CEM_RETURN_IF_ERROR(FirstError(shard_status));
 
@@ -269,7 +254,6 @@ Status SaveSnapshot(const std::string& dir,
   out.PutU64(cover.cover().size());
   out.PutU64(matcher.matches().size());
   out.PutU64(cover.core_membership().num_entities());
-  out.PutU64(cover.full_membership().num_entities());
   CEM_RETURN_IF_ERROR(io::WriteFramedFile((snap_dir / "MANIFEST").string(),
                                           kSnapshotMagic, kSnapshotVersion,
                                           out.bytes(), faults, sync));
@@ -321,11 +305,11 @@ Status LoadSnapshot(const std::string& snap_dir,
   const fs::path base(snap_dir);
 
   Manifest manifest;
+  uint32_t version = 0;
   {
     std::string payload;
-    CEM_RETURN_IF_ERROR(
-        ReadSection((base / "MANIFEST").string(), Section::kManifest,
-                    &payload));
+    CEM_RETURN_IF_ERROR(ReadSection((base / "MANIFEST").string(),
+                                    Section::kManifest, &version, &payload));
     io::Cursor in(std::string_view(payload).substr(1));
     manifest.fingerprint = StateFingerprint::ReadFrom(in);
     manifest.inserts = in.GetU64();
@@ -333,7 +317,7 @@ Status LoadSnapshot(const std::string& snap_dir,
     manifest.num_neighborhoods = in.GetU64();
     manifest.num_matches = in.GetU64();
     manifest.num_core_entries = in.GetU64();
-    manifest.num_full_entries = in.GetU64();
+    if (version == 1) manifest.num_full_entries = in.GetU64();
     if (!in.AtEnd()) {
       return InvalidArgumentError(snap_dir + ": malformed MANIFEST");
     }
@@ -358,9 +342,8 @@ Status LoadSnapshot(const std::string& snap_dir,
   stream::StreamingMatcherState state;
   {
     std::string payload;
-    CEM_RETURN_IF_ERROR(
-        ReadSection((base / "stream.bin").string(), Section::kStream,
-                    &payload));
+    CEM_RETURN_IF_ERROR(ReadSection((base / "stream.bin").string(),
+                                    Section::kStream, &version, &payload));
     io::Cursor in(std::string_view(payload).substr(1));
     if (in.GetU64() != n) {
       return InvalidArgumentError(snap_dir +
@@ -386,9 +369,8 @@ Status LoadSnapshot(const std::string& snap_dir,
   }
   {
     std::string payload;
-    CEM_RETURN_IF_ERROR(
-        ReadSection((base / "matches.bin").string(), Section::kMatches,
-                    &payload));
+    CEM_RETURN_IF_ERROR(ReadSection((base / "matches.bin").string(),
+                                    Section::kMatches, &version, &payload));
     io::Cursor in(std::string_view(payload).substr(1));
     const uint64_t count = in.GetU64();
     if (count != manifest.num_matches) {
@@ -412,8 +394,8 @@ Status LoadSnapshot(const std::string& snap_dir,
   }
   {
     std::string payload;
-    CEM_RETURN_IF_ERROR(
-        ReadSection((base / "cover.bin").string(), Section::kCover, &payload));
+    CEM_RETURN_IF_ERROR(ReadSection((base / "cover.bin").string(),
+                                    Section::kCover, &version, &payload));
     io::Cursor in(std::string_view(payload).substr(1));
     const uint64_t neighborhoods = in.GetU64();
     if (neighborhoods != manifest.num_neighborhoods) {
@@ -439,10 +421,15 @@ Status LoadSnapshot(const std::string& snap_dir,
     }
     CEM_RETURN_IF_ERROR(GetMembershipEntries(in, snap_dir + "/cover.bin",
                                              &state.cover.core_entries));
-    CEM_RETURN_IF_ERROR(GetMembershipEntries(in, snap_dir + "/cover.bin",
-                                             &state.cover.full_entries));
+    // v1 also saved the full rows, which the neighborhoods determine:
+    // decoded and validated as before, then dropped.
+    std::vector<core::MembershipEntry> v1_full_entries;
+    if (version == 1) {
+      CEM_RETURN_IF_ERROR(GetMembershipEntries(in, snap_dir + "/cover.bin",
+                                               &v1_full_entries));
+    }
     if (state.cover.core_entries.size() != manifest.num_core_entries ||
-        state.cover.full_entries.size() != manifest.num_full_entries) {
+        v1_full_entries.size() != manifest.num_full_entries) {
       return InvalidArgumentError(snap_dir +
                                   ": membership counts disagree with MANIFEST");
     }
@@ -460,8 +447,9 @@ Status LoadSnapshot(const std::string& snap_dir,
   std::vector<uint64_t> shard_counts(file_shards, 0);
   ParallelFor(ctx.pool(), file_shards, [&](size_t s) {
     std::string payload;
+    uint32_t shard_version = version;
     Status status = ReadSection((base / ShardFileName("sig", s)).string(),
-                                Section::kSignatures, &payload);
+                                Section::kSignatures, &shard_version, &payload);
     if (!status.ok()) {
       shard_status[s] = status;
       return;
@@ -506,66 +494,6 @@ Status LoadSnapshot(const std::string& snap_dir,
   for (uint64_t c : shard_counts) total_slots += c;
   if (total_slots != n) {
     return InvalidArgumentError(snap_dir + ": signature shards miss slots");
-  }
-
-  // LSH shard files: the fast path only applies when the live index has
-  // the snapshot's shard count; otherwise the restore rebuilds the buckets
-  // from the signatures (identical queries — the shard-count contract).
-  if (cover.lsh_index().num_shards() == file_shards) {
-    state.cover.lsh_buckets.resize(file_shards);
-    std::vector<Status> lsh_status(file_shards);
-    ParallelFor(ctx.pool(), file_shards, [&](size_t s) {
-      std::string payload;
-      Status status = ReadSection((base / ShardFileName("lsh", s)).string(),
-                                  Section::kLshShard, &payload);
-      if (!status.ok()) {
-        lsh_status[s] = status;
-        return;
-      }
-      io::Cursor in(std::string_view(payload).substr(1));
-      const uint32_t shard = in.GetU32();
-      const uint32_t total = in.GetU32();
-      const uint64_t buckets = in.GetU64();
-      if (shard != s || total != file_shards) {
-        lsh_status[s] =
-            InvalidArgumentError(snap_dir + ": LSH shard header mismatch");
-        return;
-      }
-      blocking::LshIndex::BucketMap map;
-      map.reserve(io::ClampCount(buckets, in.remaining(), 12));
-      uint64_t previous_key = 0;
-      bool first = true;
-      for (uint64_t b = 0; b < buckets && in.ok(); ++b) {
-        const uint64_t key = in.GetU64();
-        const uint32_t size = in.GetU32();
-        if ((!first && key <= previous_key) || size == 0) {
-          lsh_status[s] =
-              InvalidArgumentError(snap_dir + ": malformed LSH bucket");
-          return;
-        }
-        first = false;
-        previous_key = key;
-        std::vector<uint32_t> docs;
-        docs.reserve(io::ClampCount(size, in.remaining(), 4));
-        for (uint32_t d = 0; d < size && in.ok(); ++d) {
-          const uint32_t doc = in.GetU32();
-          if (doc >= n || (!docs.empty() && docs.back() >= doc)) {
-            lsh_status[s] =
-                InvalidArgumentError(snap_dir + ": malformed LSH bucket");
-            return;
-          }
-          docs.push_back(doc);
-        }
-        map.emplace(key, std::move(docs));
-      }
-      if (!in.AtEnd()) {
-        lsh_status[s] =
-            InvalidArgumentError(snap_dir + ": malformed LSH shard");
-        return;
-      }
-      state.cover.lsh_buckets[s] = std::move(map);
-    });
-    CEM_RETURN_IF_ERROR(FirstError(lsh_status));
   }
 
   return matcher.RestoreState(std::move(state));

@@ -17,21 +17,21 @@ namespace cem::persist {
 /// One snapshot = the subdirectory `<dir>/snap_<inserts>/` holding
 ///   stream.bin    arrival order, seed map, ingest counters
 ///   matches.bin   converged match keys + matching counters
-///   cover.bin     neighborhoods + core/full membership
+///   cover.bin     neighborhoods + core membership rows
 ///   sig_<s>.bin   MinHash signatures of slots == s (mod num_shards)
-///   lsh_<s>.bin   LSH buckets of shard s (fast path; optional on load)
 ///   MANIFEST      fingerprint + cross-checked counts — written LAST, so
 ///                 its presence and checksum mark the snapshot complete.
 /// Every file is an io::WriteFramedFile (magic + version + one checksummed
 /// record); all containers are sorted at write time and every integer is
 /// explicit little-endian, so the bytes are a pure function of the state —
 /// save -> load -> save reproduces identical files (pinned by tests, and
-/// what makes the committed golden fixture stable across hosts).
+/// what makes the committed golden fixtures stable across hosts).
 ///
-/// Shard files are written and read as ExecutionContext parallel-for jobs;
-/// the shard count is recorded in the MANIFEST. Loading into a matcher
-/// with a different LSH shard count skips the lsh_<s> files and rebuilds
-/// the index from the signatures (identical queries either way).
+/// Only genuine state is saved. A load rebuilds the cover's membership from
+/// the neighborhoods and the LSH buckets from the signatures, for any LSH
+/// shard count. Signature files are written and read as ExecutionContext
+/// parallel-for jobs; their count is recorded in the MANIFEST. Version 1
+/// snapshots still load (see kSnapshotVersion).
 
 /// Saves one complete snapshot of `matcher` (which must be quiescent —
 /// every Add/AddBatch returns quiescent) under `dir`, creating

@@ -213,7 +213,7 @@ QueryResult MatchService::LookupLocked(const Query& query,
     // ingest of this reference would evaluate with, minus the mutation.
     std::vector<data::EntityId> entities = {query.ref};
     for (const CandidateScore& c : result.candidates) {
-      for (uint32_t n : icover.HomesOf(c.ref)) {
+      for (uint32_t n : icover.cover().membership().HomesOf(c.ref)) {
         const std::vector<data::EntityId>& members =
             icover.cover().neighborhood(n).entities;
         entities.insert(entities.end(), members.begin(), members.end());

@@ -40,7 +40,7 @@ void IncrementalCover::AddMember(uint32_t n, data::EntityId e, bool core,
   // coauthors must be pulled in — but the cover itself does not change, so
   // the neighborhood is not dirtied by the upgrade alone.
   const bool newly_core = core && core_.Add(e, n);
-  if (full_.Add(e, n)) {
+  if (cover_.AddEntityTo(n, e)) {
     // Each inside pair is counted once: when its later endpoint joins.
     const std::vector<data::EntityId>& members =
         cover_.neighborhood(n).entities;
@@ -51,9 +51,7 @@ void IncrementalCover::AddMember(uint32_t n, data::EntityId e, bool core,
         ++inside_pairs_[n];
       }
     }
-    cover_.AddEntityTo(n, e);
-    max_neighborhood_size_ = std::max(max_neighborhood_size_,
-                                      cover_.neighborhood(n).entities.size());
+    max_neighborhood_size_ = std::max(max_neighborhood_size_, members.size());
     dirty.push_back(n);
     ++stats_.memberships_added;
     if (!core) ++stats_.boundary_additions;
@@ -100,38 +98,28 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
   // Every id the image names is range-checked before it indexes anything:
   // a row's entity sizes CoverMembership's dense table.
   const size_t num_entities = dataset_.num_entities();
-  size_t cover_memberships = 0;
-  for (const std::vector<data::EntityId>& members : state.neighborhoods) {
+  std::vector<core::Neighborhood> neighborhoods;
+  neighborhoods.reserve(state.neighborhoods.size());
+  for (std::vector<data::EntityId>& members : state.neighborhoods) {
     for (data::EntityId e : members) {
       if (e >= num_entities) {
         return InvalidArgumentError("neighborhood member out of range");
       }
     }
-    cover_memberships += members.size();
+    neighborhoods.push_back({std::move(members)});
   }
-  for (const std::vector<core::MembershipEntry>* rows :
-       {&state.core_entries, &state.full_entries}) {
-    for (const core::MembershipEntry& row : *rows) {
-      if (row.entity >= num_entities) {
-        return InvalidArgumentError("membership entity out of range");
-      }
-      for (uint32_t home : row.homes) {
-        if (home >= state.neighborhoods.size()) {
-          return InvalidArgumentError("membership home out of range");
-        }
-      }
+  core::Cover cover(std::move(neighborhoods));
+  for (const core::MembershipEntry& row : state.core_entries) {
+    if (row.entity >= num_entities) {
+      return InvalidArgumentError("membership entity out of range");
     }
-  }
-  size_t full_memberships = 0;
-  for (const core::MembershipEntry& e : state.full_entries) {
-    full_memberships += e.homes.size();
-  }
-  if (full_memberships != cover_memberships) {
-    return InvalidArgumentError("full membership disagrees with the cover");
-  }
-  if (!state.lsh_buckets.empty() &&
-      state.lsh_buckets.size() != index_.num_shards()) {
-    return InvalidArgumentError("LSH bucket shard-count mismatch");
+    // Core homes are a subset of the cover's, and both lists are sorted.
+    const std::vector<uint32_t>& homes = cover.membership().HomesOf(row.entity);
+    if (!std::includes(homes.begin(), homes.end(), row.homes.begin(),
+                       row.homes.end())) {
+      return InvalidArgumentError(
+          "core membership names a neighborhood without its entity");
+    }
   }
 
   slots_ = std::move(state.slots);
@@ -143,20 +131,13 @@ Status IncrementalCover::RestoreState(IncrementalCoverState state,
       return InvalidArgumentError("reference appears in two slots");
     }
   }
-  if (state.lsh_buckets.empty()) {
-    index_.AddDocuments(signatures_, ctx);
-  } else {
-    index_.RestoreSnapshot(std::move(state.lsh_buckets), signatures_, ctx);
-  }
-  for (std::vector<data::EntityId>& members : state.neighborhoods) {
-    cover_.Add(std::move(members));
-  }
+  index_.AddDocuments(signatures_, ctx);
+  cover_ = std::move(cover);
   inside_pairs_.resize(cover_.size());
   for (size_t i = 0; i < cover_.size(); ++i) {
     inside_pairs_[i] = cover_.ContainedPairs(dataset_, i);
   }
   core_ = core::CoverMembership::FromEntries(std::move(state.core_entries));
-  full_ = core::CoverMembership::FromEntries(std::move(state.full_entries));
   max_neighborhood_size_ = cover_.MaxNeighborhoodSize();
   stats_ = state.stats;
   return OkStatus();

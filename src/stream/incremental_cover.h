@@ -61,10 +61,9 @@ struct IngestStats {
 /// into a snapshot and feeds back through RestoreState(). Everything here
 /// is genuine state: none of it is derivable from the dataset alone (the
 /// arrival order alone determines it, but replaying the arrival order is
-/// exactly the cost a snapshot exists to avoid). The LSH index is the one
-/// exception: its buckets are a pure function of the signatures in slot
-/// order, so `lsh_buckets` is an optional fast path (loaded per-shard
-/// files) and an empty vector means "rebuild from the signatures".
+/// exactly the cost a snapshot exists to avoid). What is derivable from it
+/// is not here: RestoreState() rebuilds the cover's membership from the
+/// neighborhoods and the LSH buckets from the signatures.
 struct IncrementalCoverState {
   /// slot -> reference id, in arrival order.
   std::vector<data::EntityId> slots;
@@ -75,14 +74,11 @@ struct IncrementalCoverState {
   /// Neighborhood id -> sorted member entities.
   std::vector<std::vector<data::EntityId>> neighborhoods;
   /// Core membership rows (canopy/pair-repair members), sorted by entity.
+  /// Their first homes are the pair repairs' targets, which the
+  /// neighborhoods do not record.
   std::vector<core::MembershipEntry> core_entries;
-  /// Full membership rows (core + boundary), sorted by entity.
-  std::vector<core::MembershipEntry> full_entries;
   /// Ingest work counters as of the snapshot.
   IngestStats stats;
-  /// Per-shard LSH buckets (fast path; see above). Either empty or exactly
-  /// one map per shard of the restoring index.
-  std::vector<blocking::LshIndex::BucketMap> lsh_buckets;
 };
 
 /// Incrementally maintained total cover over the *live* subset of a
@@ -150,12 +146,6 @@ class IncrementalCover {
   /// members already present), so the drain reads it in O(1).
   size_t inside_pairs(uint32_t n) const { return inside_pairs_[n]; }
 
-  /// Sorted ids of the neighborhoods containing `e` (boundary members
-  /// included): full_membership().HomesOf(e).
-  const std::vector<uint32_t>& HomesOf(data::EntityId e) const {
-    return full_.HomesOf(e);
-  }
-
   const IngestStats& stats() const { return stats_; }
   const IncrementalCoverOptions& options() const { return options_; }
 
@@ -202,21 +192,19 @@ class IncrementalCover {
 
   /// Core membership (canopy members and pair repairs) — the pair-patch
   /// bookkeeping: pair-coverage decisions test this, never boundary
-  /// membership.
+  /// membership. The full membership (core + boundary) is
+  /// cover().membership().
   const core::CoverMembership& core_membership() const { return core_; }
 
-  /// Full membership (core + boundary): mirrors cover() exactly, so the
-  /// matcher's drain re-activates neighborhoods over it.
-  const core::CoverMembership& full_membership() const { return full_; }
-
   /// Restores a snapshot into a freshly constructed cover (num_live() must
-  /// be 0) built over the same dataset and options. The LSH index is
-  /// installed from state.lsh_buckets when they match this cover's shard
-  /// count, else rebuilt from the signatures in parallel on `ctx` — either
-  /// way every subsequent Insert() behaves bit-identically to the original
-  /// uninterrupted run. inside_pairs() is derived state, recounted from
-  /// the restored cover. Returns InvalidArgument (state untouched aside
-  /// from moves) when the image is structurally inconsistent.
+  /// be 0) built over the same dataset and options. Derived state is
+  /// rebuilt, not read: the LSH index from the signatures in parallel on
+  /// `ctx`, the cover's membership from the neighborhoods and
+  /// inside_pairs() from the cover. Every subsequent Insert() then behaves
+  /// bit-identically to the original uninterrupted run. Returns
+  /// InvalidArgument (state untouched aside from moves) when the image is
+  /// structurally inconsistent, including a core row that names a
+  /// neighborhood not holding its entity.
   Status RestoreState(IncrementalCoverState state,
                       const ExecutionContext& ctx);
 
@@ -236,8 +224,6 @@ class IncrementalCover {
   /// patch pass sees. Pair-coverage decisions test this, never boundary
   /// membership, mirroring the batch order (patch, then expand).
   core::CoverMembership core_;
-  /// Full membership (core + boundary): what the cover actually contains.
-  core::CoverMembership full_;
   /// slot -> reference id, in arrival order.
   std::vector<data::EntityId> slots_;
   std::unordered_map<data::EntityId, uint32_t> slot_of_;

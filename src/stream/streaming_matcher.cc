@@ -117,7 +117,7 @@ void StreamingMatcher::Drain() {
   const core::Cover& cover = icover_.cover();
   // The incrementally maintained k keeps the cap O(1) per drain.
   engine_.Drain(
-      cover, active_, icover_.full_membership(),
+      cover, active_,
       core::EvaluationCap(cover.size(), icover_.max_neighborhood_size()),
       [this](uint32_t c, const core::MpEngine::Evaluation& evaluation) {
         ++matching_stats_.neighborhood_evaluations;

@@ -88,8 +88,8 @@ struct StreamingMatcherState {
 /// affected neighborhoods of an incrementally maintained total cover
 /// (IncrementalCover), enqueue only the dirty neighborhoods, and propagate
 /// new matches until convergence. The drain is core::MpEngine's sequential
-/// schedule — the same loop as RunSmp — over the incremental cover's
-/// full_membership(), with an active set that persists across calls.
+/// schedule — the same loop as RunSmp — over the incremental cover, with an
+/// active set that persists across calls.
 ///
 /// Convergence guarantee: for a well-behaved matcher (idempotent +
 /// monotone, Definition 4), after every reference has been streamed — in

@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include "blocking/lsh_cover.h"
 #include "core/canopy.h"
 #include "core/cover.h"
 #include "core/message_passing.h"
 #include "data/bib_generator.h"
 #include "data/dataset.h"
 #include "data/figure1.h"
+#include "test_util.h"
 #include "util/execution_context.h"
 
 namespace cem::core {
@@ -34,13 +36,28 @@ TEST(CoverTest, AddEntityToKeepsSorted) {
             (std::vector<EntityId>{1, 3, 5}));
 }
 
-TEST(CoverTest, AddEntitiesToMergesSortedUnique) {
+TEST(CoverTest, EveryMutatorKeepsTheMembershipCurrent) {
   Cover cover;
-  cover.Add({1, 5});
-  cover.AddEntitiesTo(0, std::vector<EntityId>{0, 3, 5, 9});
-  cover.AddEntitiesTo(0, std::vector<EntityId>{});
-  EXPECT_EQ(cover.neighborhood(0).entities,
-            (std::vector<EntityId>{0, 1, 3, 5, 9}));
+  cover.Add({4, 2});
+  cover.Add({});
+  EXPECT_TRUE(cover.AddEntityTo(1, 7));
+  EXPECT_TRUE(cover.AddEntityTo(0, 7));
+  EXPECT_FALSE(cover.AddEntityTo(0, 7));  // Already there: no change.
+  cover.Add({2, 7});
+  const CoverMembership& membership = cover.membership();
+  EXPECT_EQ(membership.HomesOf(2), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(membership.HomesOf(7), (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_EQ(membership.num_entities(), 3u);
+  // The first home is the first neighborhood joined, not the lowest.
+  EXPECT_EQ(membership.FirstHome(7), 1u);
+  EXPECT_EQ(testing_util::StaleMembershipRows(cover, 10),
+            std::vector<EntityId>{});
+
+  // A cover built from a neighborhood list records each lowest home first.
+  const Cover listed({Neighborhood{{3, 1}}, Neighborhood{{1}}});
+  EXPECT_EQ(listed.membership().HomesOf(1), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(listed.membership().FirstHome(1), 0u);
+  EXPECT_EQ(listed.membership().num_entities(), 2u);
 }
 
 TEST(CoverTest, SizeStatistics) {
@@ -230,6 +247,46 @@ TEST(ExpandCoauthorBoundaryTest, HandBuiltEdgeCases) {
             (std::vector<EntityId>{r0, r1, r2}));
   EXPECT_EQ(cover.neighborhood(2).entities, (std::vector<EntityId>{loner}));
   EXPECT_EQ(cover.neighborhood(3).entities, (std::vector<EntityId>{r2, r3}));
+}
+
+// Each cover-building stage leaves the cover's own membership equal to a
+// fresh counting-pass build over its neighborhoods.
+TEST(OwnedMembershipTest, CurrentAfterEveryBuildStage) {
+  for (const data::BibConfig& config :
+       {data::BibConfig::HepthLike(0.3), data::BibConfig::DblpLike(0.3)}) {
+    const auto dataset = data::GenerateBibDataset(config);
+    const size_t n = dataset->num_entities();
+    const ExecutionContext ctx(4);
+    CanopyOptions canopy;
+    canopy.ensure_pair_coverage = false;
+    canopy.expand_boundary = false;
+    canopy.context = &ctx;
+    blocking::LshCoverOptions lsh;
+    lsh.ensure_pair_coverage = false;
+    lsh.expand_boundary = false;
+    lsh.context = &ctx;
+    for (Cover cover :
+         {BuildCanopyCover(*dataset, canopy),
+          blocking::BuildLshCover(*dataset, lsh)}) {
+      EXPECT_EQ(testing_util::StaleMembershipRows(cover, n),
+                std::vector<EntityId>{})
+          << "after assembly";
+      PatchStats stats;
+      PatchPairCoverage(*dataset, cover, ctx, &stats);
+      EXPECT_GT(stats.pairs_patched, 0u);
+      EXPECT_EQ(testing_util::StaleMembershipRows(cover, n),
+                std::vector<EntityId>{})
+          << "after PatchPairCoverage";
+      ExpandCoauthorBoundary(*dataset, cover, ctx);
+      EXPECT_EQ(testing_util::StaleMembershipRows(cover, n),
+                std::vector<EntityId>{})
+          << "after ExpandCoauthorBoundary";
+      EXPECT_EQ(cover.membership().num_entities(),
+                CoverMembership(cover).num_entities());
+      EXPECT_TRUE(cover.IsTotalForCoauthor(*dataset));
+      EXPECT_DOUBLE_EQ(cover.CandidatePairCoverage(*dataset), 1.0);
+    }
+  }
 }
 
 // ------------------------------------------------------ CoverMembership --

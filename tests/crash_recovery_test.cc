@@ -342,7 +342,7 @@ TEST_F(AtRestCorruption, FlippedSnapshotByteFailsTheChecksumAndSkips) {
   // Flip a payload byte in every section file of the newest snapshot, one
   // run each: the record CRC must catch each one.
   for (const std::string file :
-       {"cover.bin", "stream.bin", "matches.bin", "sig_0.bin", "lsh_0.bin"}) {
+       {"cover.bin", "stream.bin", "matches.bin", "sig_0.bin"}) {
     CheckRecoveryAfter(
         "flip_" + file,
         [&file](const fs::path& dir) {

@@ -2,16 +2,18 @@
 // accessors (pinned against observable streaming behavior), snapshot
 // round-trips (semantic equality AND save->load->save byte identity),
 // derived state recounted on recovery, token-index persistence, WAL
-// framing, and the committed golden v1 fixture that locks the on-disk
-// format across PRs and hosts.
+// framing, and the committed golden fixtures: v2 locks the on-disk format
+// across hosts, and v1 must keep loading.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -98,15 +100,31 @@ void ExpectSameState(const StreamingMatcher& a, const StreamingMatcher& b,
   EXPECT_EQ(a.incremental_cover().core_membership().SortedEntries(),
             b.incremental_cover().core_membership().SortedEntries())
       << label;
-  EXPECT_EQ(a.incremental_cover().full_membership().SortedEntries(),
-            b.incremental_cover().full_membership().SortedEntries())
-      << label;
+  // A restored cover records each entity's lowest home first, so of the
+  // cover's membership only the homes are state.
+  const core::CoverMembership& homes_a = a.cover().membership();
+  const core::CoverMembership& homes_b = b.cover().membership();
+  EXPECT_EQ(homes_a.num_entities(), homes_b.num_entities()) << label;
+  size_t differing_rows = 0;
+  for (data::EntityId e = 0; e < a.dataset().num_entities(); ++e) {
+    if (homes_a.HomesOf(e) != homes_b.HomesOf(e)) ++differing_rows;
+  }
+  EXPECT_EQ(differing_rows, 0u) << label;
 }
 
 std::string ReadAll(const std::string& path) {
   std::string bytes;
   EXPECT_TRUE(io::ReadFile(path, &bytes).ok()) << path;
   return bytes;
+}
+
+/// Rewrites the framed file at `path` at format `version`, payload intact.
+void ReframeAt(const std::string& path, std::string_view magic,
+               uint32_t version) {
+  const Result<std::string> payload =
+      io::ReadFramedFile(path, magic, persist::kSnapshotVersion);
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  ASSERT_TRUE(io::WriteFramedFile(path, magic, version, *payload).ok());
 }
 
 // --- io primitives ----------------------------------------------------------
@@ -280,19 +298,15 @@ TEST(SerializationAccessors, EnumerateExactlyTheObservableStreamState) {
   }
   EXPECT_EQ(seeds, cover.stats().seeds_created);
 
-  // full_membership() mirrors the cover exactly, and HomesOf agrees with
-  // its rows.
-  const std::vector<core::MembershipEntry> full =
-      cover.full_membership().SortedEntries();
+  // The cover's membership mirrors its neighborhoods exactly.
+  const core::CoverMembership& full = cover.cover().membership();
   size_t cover_memberships = 0;
   for (size_t i = 0; i < cover.cover().size(); ++i) {
     cover_memberships += cover.cover().neighborhood(i).entities.size();
   }
   size_t entry_memberships = 0;
-  for (const core::MembershipEntry& e : full) {
+  for (const core::MembershipEntry& e : full.SortedEntries()) {
     entry_memberships += e.homes.size();
-    EXPECT_EQ(e.homes, cover.HomesOf(e.entity));
-    EXPECT_EQ(e.first_home, cover.full_membership().FirstHome(e.entity));
     for (uint32_t n : e.homes) {
       const std::vector<data::EntityId>& members =
           cover.cover().neighborhood(n).entities;
@@ -305,7 +319,7 @@ TEST(SerializationAccessors, EnumerateExactlyTheObservableStreamState) {
   // core_membership() is a sub-membership of the full one.
   for (const core::MembershipEntry& e :
        cover.core_membership().SortedEntries()) {
-    const std::vector<uint32_t>& full_homes = cover.HomesOf(e.entity);
+    const std::vector<uint32_t>& full_homes = full.HomesOf(e.entity);
     for (uint32_t n : e.homes) {
       EXPECT_TRUE(std::binary_search(full_homes.begin(), full_homes.end(), n));
     }
@@ -318,7 +332,7 @@ TEST(SerializationAccessors, CoverMembershipEntriesRoundTrip) {
   StreamingMatcher streaming(matcher);
   FeedChunks(streaming, ShuffledRefs(*dataset, 5), 16);
   const core::CoverMembership& original =
-      streaming.incremental_cover().full_membership();
+      streaming.incremental_cover().core_membership();
   const std::vector<core::MembershipEntry> entries = original.SortedEntries();
   ASSERT_FALSE(entries.empty());
   const core::CoverMembership rebuilt =
@@ -389,8 +403,8 @@ TEST(SnapshotRoundTrip, SaveLoadSaveIsByteIdentical) {
               ReadAll(entry.path().string()))
         << name;
   }
-  // MANIFEST + stream + matches + cover + 4 sig + 4 lsh shards.
-  EXPECT_EQ(files, 12u);
+  // MANIFEST + stream + matches + cover + 4 signature shards.
+  EXPECT_EQ(files, 8u);
 }
 
 TEST(SnapshotRoundTrip, ShardCountChangeFallsBackToRebuild) {
@@ -463,7 +477,6 @@ TEST(SnapshotRobustness, ImplausibleInsertCountIsRejectedNotAllocated) {
     out.PutU64(0);     // neighborhoods
     out.PutU64(0);     // matches
     out.PutU64(0);     // core entries
-    out.PutU64(0);     // full entries
     ASSERT_TRUE(io::WriteFramedFile(snap + "/MANIFEST",
                                     persist::kSnapshotMagic,
                                     persist::kSnapshotVersion,
@@ -499,7 +512,6 @@ stream::StreamingMatcherState HalfStreamedState(
   state.cover.seed_neighborhoods = cover.seed_neighborhoods();
   state.cover.neighborhoods = CoverNeighborhoods(streaming);
   state.cover.core_entries = cover.core_membership().SortedEntries();
-  state.cover.full_entries = cover.full_membership().SortedEntries();
   state.cover.stats = cover.stats();
   state.match_keys.assign(streaming.matches().keys().begin(),
                           streaming.matches().keys().end());
@@ -533,7 +545,7 @@ TEST(SnapshotRobustness, OutOfRangeMembershipEntityIsRejected) {
   const mln::MlnMatcher matcher(*dataset);
   stream::StreamingMatcherState state = HalfStreamedState(matcher);
   ASSERT_TRUE(RestoreInto(matcher, state).ok());
-  state.cover.full_entries.back().entity = kHugeId;  // Still ascending.
+  state.cover.core_entries.back().entity = kHugeId;  // Still ascending.
   EXPECT_EQ(RestoreInto(matcher, std::move(state)).code(),
             StatusCode::kInvalidArgument);
 }
@@ -543,10 +555,34 @@ TEST(SnapshotRobustness, MembershipHomePastTheCoverIsRejected) {
   const mln::MlnMatcher matcher(*dataset);
   stream::StreamingMatcherState state = HalfStreamedState(matcher);
   ASSERT_TRUE(RestoreInto(matcher, state).ok());
-  core::MembershipEntry& row = state.cover.full_entries.back();
+  core::MembershipEntry& row = state.cover.core_entries.back();
   const auto past = static_cast<uint32_t>(state.cover.neighborhoods.size());
   if (row.first_home == row.homes.back()) row.first_home = past;
   row.homes.back() = past;  // Still sorted.
+  EXPECT_EQ(RestoreInto(matcher, std::move(state)).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotRobustness, CoreRowNamingANeighborhoodWithoutItsEntityIsRejected) {
+  // Core rows are the one membership a snapshot keeps; each home they
+  // name must hold the entity, or the restored pair repairs would target
+  // a neighborhood the cover never put the entity in.
+  const auto dataset = MakeSmallBib(801);
+  const mln::MlnMatcher matcher(*dataset);
+  stream::StreamingMatcherState state = HalfStreamedState(matcher);
+  ASSERT_TRUE(RestoreInto(matcher, state).ok());
+  core::MembershipEntry& row = state.cover.core_entries.front();
+  uint32_t stranger = 0;
+  while (stranger < state.cover.neighborhoods.size() &&
+         std::binary_search(state.cover.neighborhoods[stranger].begin(),
+                            state.cover.neighborhoods[stranger].end(),
+                            row.entity)) {
+    ++stranger;
+  }
+  ASSERT_LT(stranger, state.cover.neighborhoods.size());
+  row.homes.insert(
+      std::lower_bound(row.homes.begin(), row.homes.end(), stranger),
+      stranger);  // Still sorted and unique; first_home unchanged.
   EXPECT_EQ(RestoreInto(matcher, std::move(state)).code(),
             StatusCode::kInvalidArgument);
 }
@@ -662,6 +698,25 @@ TEST(TokenIndexPersistence, RoundTripsAcrossShardCounts) {
     // A non-empty index refuses to load over itself.
     EXPECT_FALSE(persist::LoadTokenIndex(dir, loaded, ctx).ok());
   }
+}
+
+TEST(TokenIndexPersistence, VersionOneFilesStillLoad) {
+  // Token-index files share kSnapshotVersion, but v2 left their layout
+  // unchanged: files framed as v1 load the same index.
+  const std::vector<std::vector<std::string>> docs = {
+      {"alice", "smith"}, {"alice", "smyth"}, {"bob"}};
+  ExecutionContext ctx(1, /*num_shards=*/2);
+  text::TokenIndex original(2);
+  original.AddDocuments(docs, ctx);
+  const std::string dir = ScratchDir("token_index_v1");
+  ASSERT_TRUE(persist::SaveTokenIndex(dir, original, ctx).ok());
+  for (const std::string name : {"toki_meta.bin", "toki_0.bin", "toki_1.bin"}) {
+    ReframeAt(dir + "/" + name, persist::kTokenIndexMagic, 1);
+  }
+  text::TokenIndex loaded(2);
+  ASSERT_TRUE(persist::LoadTokenIndex(dir, loaded, ctx).ok());
+  EXPECT_EQ(loaded.num_documents(), original.num_documents());
+  EXPECT_EQ(loaded.num_postings(), original.num_postings());
 }
 
 // --- WAL --------------------------------------------------------------------
@@ -835,14 +890,16 @@ TEST(Wal, TornAndFlippedTailsDropOnlyTheDamagedSuffix) {
             std::string::npos);
 }
 
-// --- golden v1 fixture ------------------------------------------------------
+// --- golden fixtures --------------------------------------------------------
 
-/// The committed fixture: a v1 snapshot of the Figure 1 corpus streamed in
-/// a fixed shuffled order with 4 LSH shards. Regenerate (only on a
-/// deliberate format change, with a version bump) via:
-///   CEM_WRITE_GOLDEN=1 ./persist_test --gtest_filter='GoldenV1.*'
-std::string GoldenDir() {
-  return std::string(CEM_TEST_DATA_DIR) + "/golden_v1";
+/// The committed fixtures: snapshots of the Figure 1 corpus streamed in a
+/// fixed shuffled order with 4 LSH shards, one per format version. Only
+/// the current version's is regenerated (only on a deliberate format
+/// change, with a version bump), via:
+///   CEM_WRITE_GOLDEN=1 ./persist_test --gtest_filter='GoldenV2.*'
+std::string GoldenDir(uint32_t version) {
+  return std::string(CEM_TEST_DATA_DIR) + "/golden_v" +
+         std::to_string(version);
 }
 
 struct GoldenSetup {
@@ -862,66 +919,122 @@ struct GoldenSetup {
     FeedChunks(*streaming, ShuffledRefs(*fig.dataset, /*seed=*/1), 4);
     return streaming;
   }
+
+  /// Loads the committed fixture of `version` and checks it against a
+  /// fresh stream, the cover's rebuilt membership included.
+  void ExpectFixtureMatchesAFreshStream(uint32_t version) const {
+    const std::vector<persist::SnapshotRef> snapshots =
+        persist::ListSnapshots(GoldenDir(version));
+    ASSERT_EQ(snapshots.size(), 1u)
+        << "missing committed fixture under " << GoldenDir(version);
+    StreamingMatcher loaded(*matcher, options);
+    ASSERT_TRUE(persist::LoadSnapshot(snapshots[0].path, loaded).ok());
+    EXPECT_EQ(testing_util::StaleMembershipRows(loaded.cover(),
+                                                fig.dataset->num_entities()),
+              std::vector<data::EntityId>{});
+    ExpectSameState(loaded, *Stream(), "golden v" + std::to_string(version));
+  }
 };
 
-TEST(GoldenV1, FixtureLoadsAndMatchesAFreshStream) {
-  const GoldenSetup setup;
-  if (std::getenv("CEM_WRITE_GOLDEN") != nullptr) {
-    fs::remove_all(GoldenDir());
-    ASSERT_TRUE(persist::SaveSnapshot(GoldenDir(), *setup.Stream()).ok());
-    GTEST_SKIP() << "wrote golden fixture to " << GoldenDir();
-  }
+/// A scratch copy of the committed v1 snapshot.
+std::string CopyGoldenV1(const std::string& name) {
   const std::vector<persist::SnapshotRef> snapshots =
-      persist::ListSnapshots(GoldenDir());
-  ASSERT_EQ(snapshots.size(), 1u)
-      << "missing committed fixture under " << GoldenDir();
-
-  StreamingMatcher loaded(*setup.matcher, setup.options);
-  ASSERT_TRUE(persist::LoadSnapshot(snapshots[0].path, loaded).ok());
-  const std::unique_ptr<StreamingMatcher> fresh = setup.Stream();
-  ExpectSameState(loaded, *fresh, "golden");
+      persist::ListSnapshots(GoldenDir(1));
+  EXPECT_EQ(snapshots.size(), 1u);
+  const std::string snap =
+      ScratchDir(name) + "/" + persist::SnapshotDirName(9);
+  fs::copy(snapshots.at(0).path, snap, fs::copy_options::recursive);
+  return snap;
 }
 
-TEST(GoldenV1, ReSaveReproducesTheCommittedBytesExactly) {
-  const GoldenSetup setup;
-  if (std::getenv("CEM_WRITE_GOLDEN") != nullptr) {
-    GTEST_SKIP() << "fixture being (re)written by the load test";
-  }
-  const std::vector<persist::SnapshotRef> snapshots =
-      persist::ListSnapshots(GoldenDir());
-  ASSERT_EQ(snapshots.size(), 1u);
-  const std::string dir = ScratchDir("golden_resave");
-  ASSERT_TRUE(persist::SaveSnapshot(dir, *setup.Stream()).ok());
-  const std::string resnap = persist::ListSnapshots(dir)[0].path;
+TEST(GoldenV1, FixtureLoadsAndMatchesAFreshStream) {
+  GoldenSetup().ExpectFixtureMatchesAFreshStream(1);
+}
 
-  size_t files = 0;
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(snapshots[0].path)) {
-    const std::string name = entry.path().filename().string();
-    ++files;
-    EXPECT_EQ(ReadAll((fs::path(resnap) / name).string()),
-              ReadAll(entry.path().string()))
-        << name << " drifted from the committed v1 bytes — a format change "
-                   "needs a version bump, not a fixture rewrite";
+TEST(GoldenV1, BucketFilesAreNeverOpened) {
+  // v1 saved each LSH shard's buckets beside the signatures. A load
+  // rebuilds the buckets from the signatures, so a missing or damaged
+  // bucket file changes nothing.
+  const GoldenSetup setup;
+  const std::string snap = CopyGoldenV1("golden_v1_buckets");
+  ASSERT_TRUE(fs::remove(snap + "/lsh_0.bin"));
+  {
+    std::ofstream out(snap + "/lsh_1.bin", std::ios::binary | std::ios::trunc);
+    out << "not a snapshot file";
   }
-  EXPECT_GE(files, 5u);
+  StreamingMatcher loaded(*setup.matcher, setup.options);
+  ASSERT_TRUE(persist::LoadSnapshot(snap, loaded).ok());
+  ExpectSameState(loaded, *setup.Stream(), "v1 without bucket files");
+}
+
+TEST(GoldenV1, DamagedFullRowIsStillRejected) {
+  // v1's full membership rows are derived state that a load drops, but
+  // they are decoded and validated first.
+  const GoldenSetup setup;
+  const std::string snap = CopyGoldenV1("golden_v1_full_row");
+  const std::string path = snap + "/cover.bin";
+  uint32_t version = 0;
+  const Result<std::string> payload = io::ReadFramedFile(
+      path, persist::kSnapshotMagic, persist::kSnapshotVersion, &version);
+  ASSERT_TRUE(payload.ok()) << payload.status();
+  ASSERT_EQ(version, 1u);
+  std::string bytes = *payload;
+  // Walk the v1 layout: neighborhoods, core rows, then full rows.
+  io::Cursor in(std::string_view(bytes).substr(1));
+  const uint64_t neighborhoods = in.GetU64();
+  for (uint64_t i = 0; i < neighborhoods; ++i) {
+    const uint32_t size = in.GetU32();
+    for (uint32_t m = 0; m < size; ++m) in.GetU32();
+  }
+  size_t last_first_home = 0;
+  for (int table = 0; table < 2; ++table) {
+    const uint64_t rows = in.GetU64();
+    ASSERT_GT(rows, 0u);
+    for (uint64_t r = 0; r < rows; ++r) {
+      in.GetU32();  // Entity.
+      last_first_home = bytes.size() - in.remaining();
+      in.GetU32();
+      const uint32_t homes = in.GetU32();
+      for (uint32_t h = 0; h < homes; ++h) in.GetU32();
+    }
+  }
+  ASSERT_TRUE(in.AtEnd());
+  // The last full row's first home now names none of its homes.
+  bytes.replace(last_first_home, 4, std::string(4, '\xff'));
+  ASSERT_TRUE(io::WriteFramedFile(path, persist::kSnapshotMagic, 1, bytes)
+                  .ok());
+  StreamingMatcher loaded(*setup.matcher, setup.options);
+  const Status status = persist::LoadSnapshot(snap, loaded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("malformed membership entry"),
+            std::string::npos)
+      << status;
+}
+
+TEST(GoldenV1, FilesOfAnotherVersionThanTheManifestAreRejected) {
+  // Each section decodes by its own version, so one snapshot never mixes
+  // formats: a v2-framed file inside a v1 snapshot fails the load.
+  const GoldenSetup setup;
+  const std::string snap = CopyGoldenV1("golden_v1_mixed");
+  ReframeAt(snap + "/stream.bin", persist::kSnapshotMagic, 2);
+  StreamingMatcher loaded(*setup.matcher, setup.options);
+  const Status status = persist::LoadSnapshot(snap, loaded);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("version differs from MANIFEST"),
+            std::string::npos)
+      << status;
 }
 
 TEST(GoldenV1, UnknownVersionAndBadMagicAreRejectedNotMisread) {
   const GoldenSetup setup;
-  const std::vector<persist::SnapshotRef> snapshots =
-      persist::ListSnapshots(GoldenDir());
-  ASSERT_EQ(snapshots.size(), 1u);
-  const std::string dir = ScratchDir("golden_tamper");
-  fs::copy(snapshots[0].path, dir + "/" + persist::SnapshotDirName(6),
-           fs::copy_options::recursive);
-  const std::string snap = persist::ListSnapshots(dir)[0].path;
+  const std::string snap = CopyGoldenV1("golden_tamper");
 
-  // Bump the MANIFEST's version field (offset 8, little-endian u32).
+  // Bump the MANIFEST's version field (offset 8, little-endian u32) past
+  // the newest this reader knows.
   const std::string manifest = snap + "/MANIFEST";
   std::string bytes = ReadAll(manifest);
   {
-    bytes[8] = 2;
+    bytes[8] = static_cast<char>(persist::kSnapshotVersion + 1);
     std::ofstream out(manifest, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
@@ -941,6 +1054,46 @@ TEST(GoldenV1, UnknownVersionAndBadMagicAreRejectedNotMisread) {
   status = persist::LoadSnapshot(snap, magicked);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("bad magic"), std::string::npos);
+}
+
+TEST(GoldenV2, FixtureLoadsAndMatchesAFreshStream) {
+  const GoldenSetup setup;
+  if (std::getenv("CEM_WRITE_GOLDEN") != nullptr) {
+    fs::remove_all(GoldenDir(2));
+    ASSERT_TRUE(persist::SaveSnapshot(GoldenDir(2), *setup.Stream()).ok());
+    GTEST_SKIP() << "wrote golden fixture to " << GoldenDir(2);
+  }
+  setup.ExpectFixtureMatchesAFreshStream(2);
+}
+
+TEST(GoldenV2, ReSaveReproducesTheCommittedBytesExactly) {
+  const GoldenSetup setup;
+  if (std::getenv("CEM_WRITE_GOLDEN") != nullptr) {
+    GTEST_SKIP() << "fixture being (re)written by the load test";
+  }
+  const std::vector<persist::SnapshotRef> snapshots =
+      persist::ListSnapshots(GoldenDir(2));
+  ASSERT_EQ(snapshots.size(), 1u);
+  const std::string dir = ScratchDir("golden_resave");
+  ASSERT_TRUE(persist::SaveSnapshot(dir, *setup.Stream()).ok());
+  const std::string resnap = persist::ListSnapshots(dir)[0].path;
+
+  size_t files = 0;
+  for (const fs::directory_entry& entry :
+       fs::directory_iterator(snapshots[0].path)) {
+    const std::string name = entry.path().filename().string();
+    ++files;
+    EXPECT_EQ(ReadAll((fs::path(resnap) / name).string()),
+              ReadAll(entry.path().string()))
+        << name << " drifted from the committed v2 bytes — a format change "
+                   "needs a version bump, not a fixture rewrite";
+  }
+  // MANIFEST + stream + matches + cover + 4 signature shards, and the
+  // re-save writes nothing else.
+  EXPECT_EQ(files, 8u);
+  EXPECT_EQ(std::distance(fs::directory_iterator(resnap),
+                          fs::directory_iterator()),
+            8);
 }
 
 }  // namespace

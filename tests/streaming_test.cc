@@ -260,6 +260,25 @@ TEST_P(StreamingEquivalence, InsidePairCountsAreExactAfterEveryChunk) {
   }
 }
 
+TEST_P(StreamingEquivalence, CoverMembershipIsCurrentAfterEveryInsert) {
+  // The drain and the serving preview read the streamed cover's own
+  // membership, which each insert extends in place; it must equal a fresh
+  // counting-pass build over the neighborhoods after every insert.
+  const auto dataset = MakeSmallBib(GetParam());
+  const mln::MlnMatcher matcher(*dataset);
+  std::vector<data::EntityId> refs = dataset->author_refs();
+  Rng rng(GetParam() * 31);
+  rng.Shuffle(refs);
+  StreamingMatcher streaming(matcher);
+  for (size_t i = 0; i < refs.size(); ++i) {
+    streaming.Add(refs[i]);
+    ASSERT_EQ(testing_util::StaleMembershipRows(streaming.cover(),
+                                                dataset->num_entities()),
+              std::vector<data::EntityId>{})
+        << "after " << i + 1 << " inserts";
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, StreamingEquivalence,
                          ::testing::Range<uint64_t>(500, 503));
 

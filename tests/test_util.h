@@ -106,6 +106,19 @@ class RandomInstance {
   mln::MlnWeights weights_;
 };
 
+/// Entities below `num_entities` whose homes in cover.membership() differ
+/// from a fresh counting-pass build over the same neighborhoods: empty
+/// exactly when the cover's own membership is current.
+inline std::vector<data::EntityId> StaleMembershipRows(
+    const core::Cover& cover, size_t num_entities) {
+  const core::CoverMembership fresh(cover);
+  std::vector<data::EntityId> stale;
+  for (data::EntityId e = 0; e < num_entities; ++e) {
+    if (cover.membership().HomesOf(e) != fresh.HomesOf(e)) stale.push_back(e);
+  }
+  return stale;
+}
+
 /// Neighborhoods of `icover` whose maintained inside_pairs() differs from
 /// a brute-force count of the dataset's candidate pairs with both
 /// endpoints inside (empty when every count is exact).
