@@ -35,9 +35,22 @@ bool ParseField(std::string_view field, T& out) {
   return ec == std::errc() && ptr == end;
 }
 
+/// True if `field` holds a field or record separator, which LoadDatasetTsv
+/// would split on.
+bool BreaksRecord(std::string_view field) {
+  return field.find_first_of("\t\n") != std::string_view::npos;
+}
+
 }  // namespace
 
 Status SaveDatasetTsv(const Dataset& dataset, const std::string& path) {
+  for (const Entity& e : dataset.entities()) {
+    if (BreaksRecord(e.first_name) || BreaksRecord(e.last_name) ||
+        BreaksRecord(e.title)) {
+      return InvalidArgumentError("entity " + std::to_string(e.id) +
+                                  ": a name or title holds a tab or newline");
+    }
+  }
   std::ofstream out(path);
   if (!out) return InvalidArgumentError("cannot open for writing: " + path);
   for (const Entity& e : dataset.entities()) {

@@ -10,7 +10,10 @@
 namespace cem::data {
 
 /// Saves `dataset` (entities, Authored, Cites, ground truth) to a TSV file.
-/// Candidate pairs are not saved; rebuild them after loading.
+/// Candidate pairs are not saved; rebuild them after loading. Returns
+/// InvalidArgument naming the entity, before the file is opened, when a
+/// first name, last name or title holds a tab or newline: LoadDatasetTsv
+/// could not read it back.
 Status SaveDatasetTsv(const Dataset& dataset, const std::string& path);
 
 /// Loads a dataset saved by SaveDatasetTsv. The result is Finalize()d but

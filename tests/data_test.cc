@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <filesystem>
 #include <set>
 #include <string>
 
@@ -320,6 +321,44 @@ TEST(TsvIoTest, NoTruthLabelLoads) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ((*result)->entity(0).truth, kNoTruth);
   EXPECT_EQ((*result)->entity(0).year, -12);
+}
+
+/// Saves `dataset` to a file named after the running test: the save must
+/// refuse, name entity 1 and create no file.
+void ExpectSaveRefusesEntityOne(const Dataset& dataset) {
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".tsv";
+  std::remove(path.c_str());
+  const Status status = SaveDatasetTsv(dataset, path);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("entity 1:"), std::string::npos) << status;
+  EXPECT_FALSE(std::filesystem::exists(path)) << "save created " << path;
+}
+
+TEST(TsvIoTest, SaveRefusesATabInAFirstName) {
+  Dataset d;
+  d.AddAuthorRef("ann", "lee");
+  d.AddAuthorRef("jo\thn", "smith");
+  d.Finalize();
+  ExpectSaveRefusesEntityOne(d);
+}
+
+TEST(TsvIoTest, SaveRefusesANewlineInALastName) {
+  Dataset d;
+  d.AddAuthorRef("ann", "lee");
+  d.AddAuthorRef("john", "smi\nth");
+  d.Finalize();
+  ExpectSaveRefusesEntityOne(d);
+}
+
+TEST(TsvIoTest, SaveRefusesATabInATitle) {
+  Dataset d;
+  d.AddAuthorRef("ann", "lee");
+  d.AddPaper("entity\tmatching", 2011);
+  d.Finalize();
+  ExpectSaveRefusesEntityOne(d);
 }
 
 }  // namespace
