@@ -8,9 +8,9 @@
 # UndefinedBehaviorSanitizer build re-running the tier-1 suite (undefined
 # behaviour aborts the test), and a ThreadSanitizer build re-running the
 # concurrency-labeled suites, plus a build of the repository benchmark
-# (perfbench/), its self-tests and one short traced run of three of its
-# workloads with their output checks. Run from anywhere; a fresh checkout
-# passes end-to-end using only the committed baselines.
+# (perfbench/), its self-tests and one short traced run of each of its
+# four workloads with their output checks. Run from anywhere; a fresh
+# checkout passes end-to-end using only the committed baselines.
 #
 # Knobs:
 #   CEM_CI_SKIP_ASAN=1    skip the AddressSanitizer + UBSan stage
@@ -86,15 +86,17 @@ cmake --build "${PERFBENCH_BUILD_DIR}" -j "${JOBS}" \
 "${PERFBENCH_BUILD_DIR}/perfbench_selftest"
 
 echo "== repository benchmark output checks (perfbench run --trace 1)"
-# One short traced run of three workloads, whose output checks hold the
+# One short traced run of each workload, whose output checks hold the
 # library to its own equivalences: grid-dblp's RunGrid matches equal
-# RunSmp's, mmp-hepth's RunMmp matches contain RunSmp's, and
-# durable-hepth's recovered state equals the dropped matcher's. A traced
+# RunSmp's, mmp-hepth's RunMmp matches contain RunSmp's, serve-dblp's
+# streamed matches (MatchService over a StreamingMatcher) equal batch
+# RunSmp's over the streamed cover, and durable-hepth's recovered state
+# equals the dropped matcher's. A traced
 # run also checks that traced and untraced work counts agree, which a
 # Matcher virtual the runner's decorator does not forward would break. The
 # runner exits non-zero when any check fails.
 PERFBENCH_RUN_DIR="${PERFBENCH_BUILD_DIR}/ci-runs"
-for workload in grid-dblp mmp-hepth durable-hepth; do
+for workload in grid-dblp mmp-hepth serve-dblp durable-hepth; do
   rm -rf "${PERFBENCH_RUN_DIR}"
   mkdir -p "${PERFBENCH_RUN_DIR}"
   "${PERFBENCH_BUILD_DIR}/perfbench" gen --workload "${workload}" --seed 1 \
