@@ -1,9 +1,9 @@
 // Hot-path microbench: the per-record tokenise -> MinHash -> score chain,
 // legacy layout vs the arena/SIMD overhaul, plus the per-neighborhood MMP
-// loop, the MLN model build of a streamed neighborhood and the set-up
-// stages before the first evaluation.
+// loop, the MLN model build and matcher call of a streamed neighborhood
+// and the set-up stages before the first evaluation.
 //
-// Six of the seven tables, one per pipeline stage, compare the historical
+// Seven of the eight tables, one per pipeline stage, compare the historical
 // implementation (heap token strings, per-call scalar loops, a copy of M+
 // per hypothesis — replicated inline below so the baseline survives the
 // refactor it measures) against the current hot path:
@@ -23,6 +23,9 @@
 //  * induced_model — the binary-search model builder vs the bitmap
 //    mln::BuildInducedModel over every neighborhood of a streamed cover
 //    (seconds per sweep, speedup);
+//  * match    — the hash-set, sort-and-search MlnMatcher::Match path vs
+//    the flat MatchSet and scan-only model build over the same
+//    neighborhoods (seconds per sweep, speedup);
 //  * setup    — hash-container replicas vs the dense-mark set-up stages on a
 //    DBLP-like corpus: the trigram self-join of BuildCandidatePairs,
 //    ExpandCoauthorBoundary on an unexpanded LSH cover, and
@@ -44,11 +47,12 @@
 // counter_smp_*, counter_mmp_nomerge_* and counter_grid_* pin the work of
 // the other drivers on it.
 // The streamed cover comes from a fixed arrival order, so the
-// counter_mln_induced_* sums are a pure function of the scale too. The
-// set-up corpus is built with LSH blocking explicitly, and its
-// counter_data_candidate_pairs, counter_core_boundary_members (neighborhood
-// sizes summed after expansion) and counter_mln_graph_links pin what the
-// set-up stages produce.
+// counter_mln_induced_* and counter_mln_match_* sums are a pure function
+// of the scale too. The set-up corpus is built with LSH blocking
+// explicitly, and its counter_data_candidate_pairs,
+// counter_core_boundary_members (neighborhood sizes summed after
+// expansion) and counter_mln_graph_links pin what the set-up stages
+// produce.
 
 #include <algorithm>
 #include <cstdint>
@@ -79,6 +83,7 @@
 #include "data/entity.h"
 #include "eval/experiment.h"
 #include "graph/connected_components.h"
+#include "graph/max_flow.h"
 #include "mln/grounding.h"
 #include "mln/map_inference.h"
 #include "mln/mln_matcher.h"
@@ -307,6 +312,142 @@ mln::InducedModel LegacyBuildInducedModel(
   }
   return model;
 }
+
+/// mln::MlnMatcher::Match before the flat MatchSet, inline: the model
+/// cache's copy, sort and dedupe of the entity list; the bitmap model
+/// build that reads each member's pairs through their PairGraph nodes,
+/// sorts the variables, and finds each inside link's partner from its
+/// endpoints and a lower_bound; then the clamped min-cut, with
+/// std::unordered_set evidence and output sets.
+class LegacyMatchPath {
+ public:
+  using KeySet = std::unordered_set<uint64_t>;
+
+  LegacyMatchPath(const data::Dataset& dataset, const mln::PairGraph& graph,
+                  const mln::MlnWeights& weights)
+      : dataset_(dataset),
+        graph_(graph),
+        weights_(weights),
+        member_bits_((dataset.num_entities() + 63) / 64, 0) {}
+
+  /// The output's keys; adds the number of unclamped variables to
+  /// `free_variables`.
+  KeySet Match(const std::vector<data::EntityId>& entities,
+               const KeySet& positive, const KeySet& negative,
+               size_t& free_variables) {
+    const mln::InducedModel model = BuildModel(entities);
+    const size_t n = model.vars.size();
+    enum Clamp : uint8_t { kFree, kOne, kZero };
+    std::vector<Clamp> clamp(n, kFree);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = data::PairKey(graph_.node(model.vars[i]).pair);
+      if (negative.count(key) != 0) {
+        clamp[i] = kZero;
+      } else if (positive.count(key) != 0) {
+        clamp[i] = kOne;
+      }
+    }
+    std::vector<int> free_index(n, -1);
+    int num_free = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (clamp[i] == kFree) free_index[i] = num_free++;
+    }
+    std::vector<double> theta(num_free);
+    for (size_t i = 0; i < n; ++i) {
+      if (free_index[i] >= 0) theta[free_index[i]] = model.theta[i];
+    }
+    const double w = weights_.w_coauthor;
+    std::vector<std::pair<int, int>> free_links;
+    for (const auto& [i, j] : model.links) {
+      if (clamp[i] == kFree && clamp[j] == kFree) {
+        free_links.emplace_back(free_index[i], free_index[j]);
+      } else if (clamp[i] == kFree && clamp[j] == kOne) {
+        theta[free_index[i]] += w;
+      } else if (clamp[j] == kFree && clamp[i] == kOne) {
+        theta[free_index[j]] += w;
+      }
+    }
+    free_variables += static_cast<size_t>(num_free);
+    std::vector<bool> x(num_free, false);
+    if (num_free > 0) {
+      std::vector<double> c(num_free);
+      for (int i = 0; i < num_free; ++i) c[i] = -theta[i];
+      for (const auto& [i, j] : free_links) {
+        c[i] -= w / 2.0;
+        c[j] -= w / 2.0;
+      }
+      graph::MaxFlow flow(num_free + 2);
+      const int source = num_free;
+      const int sink = num_free + 1;
+      for (int i = 0; i < num_free; ++i) {
+        if (c[i] > 0) {
+          flow.AddEdge(i, sink, c[i]);
+        } else if (c[i] < 0) {
+          flow.AddEdge(source, i, -c[i]);
+        }
+      }
+      for (const auto& [i, j] : free_links) {
+        flow.AddEdge(i, j, w / 2.0, w / 2.0);
+      }
+      flow.Solve(source, sink);
+      const std::vector<bool> on_source_side = flow.SinkUnreachableSet();
+      for (int i = 0; i < num_free; ++i) x[i] = on_source_side[i];
+    }
+    KeySet out;
+    for (size_t i = 0; i < n; ++i) {
+      if (clamp[i] == kOne || (free_index[i] >= 0 && x[free_index[i]])) {
+        out.insert(data::PairKey(graph_.node(model.vars[i]).pair));
+      }
+    }
+    return out;
+  }
+
+ private:
+  mln::InducedModel BuildModel(const std::vector<data::EntityId>& entities) {
+    std::vector<data::EntityId> members = entities;
+    std::sort(members.begin(), members.end());
+    members.erase(std::unique(members.begin(), members.end()), members.end());
+    for (data::EntityId e : members) {
+      member_bits_[e / 64] |= uint64_t{1} << (e % 64);
+    }
+    const auto in_members = [&](data::EntityId e) {
+      return ((member_bits_[e / 64] >> (e % 64)) & 1) != 0;
+    };
+    mln::InducedModel model;
+    for (data::EntityId e : members) {
+      for (data::PairId id : dataset_.PairsOfEntity(e)) {
+        const data::EntityPair p = graph_.node(id).pair;
+        if (p.a == e && in_members(p.b)) model.vars.push_back(id);
+      }
+    }
+    std::sort(model.vars.begin(), model.vars.end());
+    model.theta.reserve(model.vars.size());
+    for (size_t i = 0; i < model.vars.size(); ++i) {
+      const mln::PairGraph::Node& node = graph_.node(model.vars[i]);
+      double theta = weights_.SimWeight(node.level);
+      for (data::EntityId c : node.shared_coauthors) {
+        if (in_members(c)) theta += weights_.w_coauthor;
+      }
+      model.theta.push_back(theta);
+      for (data::PairId q : node.links) {
+        if (q <= model.vars[i]) continue;
+        const data::EntityPair qp = graph_.node(q).pair;
+        if (!in_members(qp.a) || !in_members(qp.b)) continue;
+        const auto it =
+            std::lower_bound(model.vars.begin() + i + 1, model.vars.end(), q);
+        model.links.emplace_back(static_cast<int>(i),
+                                 static_cast<int>(it - model.vars.begin()));
+      }
+    }
+    for (data::EntityId e : members) member_bits_[e / 64] = 0;
+    return model;
+  }
+
+  const data::Dataset& dataset_;
+  const mln::PairGraph& graph_;
+  const mln::MlnWeights& weights_;
+  std::vector<uint64_t> member_bits_;
+};
 
 /// The historical trigram self-join of data::Dataset::BuildCandidatePairs:
 /// one postings map keyed by each token's precomputed hash, and per
@@ -904,6 +1045,79 @@ int main() {
   report.Metric("counter_mln_induced_vars", static_cast<double>(induced_vars));
   report.Metric("counter_mln_induced_links",
                 static_cast<double>(induced_links));
+
+  // --- match ----------------------------------------------------------------
+  // A drain evaluation's matcher call: MlnMatcher::Match on every
+  // neighborhood of the streamed cover, against the inline replica of the
+  // path before the flat MatchSet. The positive evidence is every second
+  // pair of RunMmp's sorted matches and the negative evidence is empty, as
+  // in the drain. Every output and the free-variable total must agree.
+  constexpr int kMatchReps = 5;
+  const std::vector<data::EntityPair> mmp_pairs = mmp.matches.SortedPairs();
+  core::MatchSet evidence;
+  LegacyMatchPath::KeySet legacy_evidence;
+  for (size_t i = 0; i < mmp_pairs.size(); i += 2) {
+    evidence.Insert(mmp_pairs[i]);
+    legacy_evidence.insert(data::PairKey(mmp_pairs[i]));
+  }
+  const core::MatchSet no_evidence;
+  const LegacyMatchPath::KeySet legacy_no_evidence;
+  LegacyMatchPath legacy_path(*hepth.dataset, graph, weights);
+  std::vector<LegacyMatchPath::KeySet> legacy_outputs(streamed.size());
+  size_t legacy_match_free_vars = 0;
+  const double legacy_match_s = TimeBest(kMatchReps, [&] {
+    legacy_match_free_vars = 0;
+    for (size_t n = 0; n < streamed.size(); ++n) {
+      legacy_outputs[n] = legacy_path.Match(
+          streamed.neighborhood(n).entities, legacy_evidence,
+          legacy_no_evidence, legacy_match_free_vars);
+    }
+  });
+  const mln::MlnMatcher match_matcher(*hepth.dataset);
+  std::vector<core::MatchSet> outputs(streamed.size());
+  const double match_s = TimeBest(kMatchReps, [&] {
+    match_matcher.ResetCounters();
+    for (size_t n = 0; n < streamed.size(); ++n) {
+      outputs[n] = match_matcher.Match(streamed.neighborhood(n).entities,
+                                       evidence, no_evidence);
+    }
+  });
+  size_t match_outputs = 0;
+  for (size_t n = 0; n < streamed.size(); ++n) {
+    std::vector<uint64_t> want(legacy_outputs[n].begin(),
+                               legacy_outputs[n].end());
+    std::sort(want.begin(), want.end());
+    std::vector<uint64_t> got;
+    for (const data::EntityPair& p : outputs[n].SortedPairs()) {
+      got.push_back(data::PairKey(p));
+    }
+    CEM_CHECK(got == want)
+        << "MlnMatcher::Match diverged from the legacy path on neighborhood "
+        << n;
+    match_outputs += got.size();
+  }
+  CEM_CHECK(match_matcher.num_runs() == streamed.size() &&
+            match_matcher.total_free_variables() == legacy_match_free_vars)
+      << "MlnMatcher::Match diverged from the legacy path's free variables";
+
+  TableWriter match_table({"path", "neighborhoods", "outputs", "free vars",
+                           "s/sweep", "speedup"});
+  const auto match_row = [&](const std::string& name, double seconds) {
+    match_table.AddRow({name, std::to_string(streamed.size()),
+                        std::to_string(match_outputs),
+                        std::to_string(legacy_match_free_vars),
+                        TableWriter::Num(seconds, 5),
+                        TableWriter::Num(legacy_match_s / seconds, 2)});
+  };
+  std::printf("\nMatch evidence: %zu positive pairs\n", evidence.size());
+  match_row("legacy: unordered_set, sorted scan", legacy_match_s);
+  match_row("MlnMatcher::Match", match_s);
+  report.Table("match", match_table);
+  report.Metric("speedup_match", legacy_match_s / match_s);
+  report.Metric("counter_mln_match_outputs",
+                static_cast<double>(match_outputs));
+  report.Metric("counter_mln_match_free_variables",
+                static_cast<double>(legacy_match_free_vars));
 
   // --- setup ----------------------------------------------------------------
   // The set-up every workload pays before its first evaluation, on a
