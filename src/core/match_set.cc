@@ -1,62 +1,172 @@
 #include "core/match_set.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
+#include "util/logging.h"
 #include "util/union_find.h"
 
 namespace cem::core {
 
+namespace {
+
+/// Capacity of the first table a set allocates.
+constexpr size_t kMinCapacity = 16;
+
+}  // namespace
+
+MatchSet::MatchSet(MatchSet&& other) noexcept
+    : slots_(std::move(other.slots_)),
+      size_(std::exchange(other.size_, 0)),
+      shift_(std::exchange(other.shift_, 64)) {
+  other.slots_.clear();
+}
+
+MatchSet& MatchSet::operator=(MatchSet&& other) noexcept {
+  if (this != &other) {
+    slots_ = std::move(other.slots_);
+    size_ = std::exchange(other.size_, 0);
+    shift_ = std::exchange(other.shift_, 64);
+    other.slots_.clear();
+  }
+  return *this;
+}
+
 MatchSet::MatchSet(const std::vector<data::EntityPair>& pairs) {
+  reserve(pairs.size());
   for (const data::EntityPair& p : pairs) Insert(p);
 }
 
-bool MatchSet::Insert(data::EntityPair pair) {
-  return keys_.insert(data::PairKey(pair)).second;
+bool MatchSet::ContainsKey(uint64_t key) const {
+  if (slots_.empty()) return false;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HomeOf(key);; i = (i + 1) & mask) {
+    if (slots_[i] == key) return true;
+    if (slots_[i] == kEmptyKey) return false;
+  }
+}
+
+bool MatchSet::InsertKey(uint64_t key) {
+  CEM_CHECK(key != kEmptyKey)
+      << "the pair (0xffffffff, 0) is not normalised; its key marks empty "
+         "slots";
+  if (!slots_.empty()) {
+    const size_t mask = slots_.size() - 1;
+    size_t i = HomeOf(key);
+    for (; slots_[i] != kEmptyKey; i = (i + 1) & mask) {
+      if (slots_[i] == key) return false;
+    }
+    if ((size_ + 1) * 2 <= slots_.size()) {
+      slots_[i] = key;
+      ++size_;
+      return true;
+    }
+  }
+  Rehash(std::max(kMinCapacity, slots_.size() * 2));
+  const size_t mask = slots_.size() - 1;
+  size_t i = HomeOf(key);
+  while (slots_[i] != kEmptyKey) i = (i + 1) & mask;
+  slots_[i] = key;
+  ++size_;
+  return true;
+}
+
+void MatchSet::Rehash(size_t capacity) {
+  std::vector<uint64_t> old(capacity, kEmptyKey);
+  old.swap(slots_);
+  shift_ = 64 - std::countr_zero(capacity);
+  const size_t mask = capacity - 1;
+  for (uint64_t key : old) {
+    if (key == kEmptyKey) continue;
+    size_t i = HomeOf(key);
+    while (slots_[i] != kEmptyKey) i = (i + 1) & mask;
+    slots_[i] = key;
+  }
+}
+
+void MatchSet::reserve(size_t n) {
+  if (n * 2 <= slots_.size()) return;
+  Rehash(std::max(kMinCapacity, std::bit_ceil(n * 2)));
 }
 
 size_t MatchSet::InsertAll(const MatchSet& other) {
   size_t added = 0;
-  for (uint64_t key : other.keys_) added += keys_.insert(key).second ? 1 : 0;
+  for (uint64_t key : other.keys()) added += InsertKey(key) ? 1 : 0;
   return added;
 }
 
 bool MatchSet::Erase(data::EntityPair pair) {
-  return keys_.erase(data::PairKey(pair)) > 0;
+  if (slots_.empty()) return false;
+  const uint64_t key = data::PairKey(pair);
+  const size_t mask = slots_.size() - 1;
+  size_t hole = HomeOf(key);
+  for (; slots_[hole] != key; hole = (hole + 1) & mask) {
+    if (slots_[hole] == kEmptyKey) return false;
+  }
+  // Backward-shift deletion: pull back every later key of the probe run
+  // whose home does not lie in (hole, slot], so each key stays reachable
+  // from its home without crossing an empty slot.
+  for (size_t slot = (hole + 1) & mask; slots_[slot] != kEmptyKey;
+       slot = (slot + 1) & mask) {
+    const size_t home = HomeOf(slots_[slot]);
+    if (((slot - home) & mask) >= ((slot - hole) & mask)) {
+      slots_[hole] = slots_[slot];
+      hole = slot;
+    }
+  }
+  slots_[hole] = kEmptyKey;
+  --size_;
+  return true;
+}
+
+void MatchSet::clear() {
+  std::fill(slots_.begin(), slots_.end(), kEmptyKey);
+  size_ = 0;
 }
 
 size_t MatchSet::IntersectionSize(const MatchSet& other) const {
   const MatchSet& small = size() <= other.size() ? *this : other;
   const MatchSet& large = size() <= other.size() ? other : *this;
   size_t count = 0;
-  for (uint64_t key : small.keys_) count += large.keys_.count(key);
+  for (uint64_t key : small.keys()) count += large.ContainsKey(key) ? 1 : 0;
   return count;
 }
 
 bool MatchSet::IsSubsetOf(const MatchSet& other) const {
   if (size() > other.size()) return false;
-  for (uint64_t key : keys_) {
-    if (!other.keys_.count(key)) return false;
+  for (uint64_t key : keys()) {
+    if (!other.ContainsKey(key)) return false;
   }
   return true;
 }
 
-std::vector<data::EntityPair> MatchSet::Difference(
-    const MatchSet& other) const {
+namespace {
+
+/// `keys` sorted, as pairs: PairKey order is (a, b) order.
+std::vector<data::EntityPair> SortedPairsOf(std::vector<uint64_t> keys) {
+  std::sort(keys.begin(), keys.end());
   std::vector<data::EntityPair> out;
-  for (uint64_t key : keys_) {
-    if (!other.keys_.count(key)) out.push_back(data::PairFromKey(key));
-  }
-  std::sort(out.begin(), out.end());
+  out.reserve(keys.size());
+  for (uint64_t key : keys) out.push_back(data::PairFromKey(key));
   return out;
 }
 
+}  // namespace
+
+std::vector<data::EntityPair> MatchSet::Difference(
+    const MatchSet& other) const {
+  std::vector<uint64_t> missing;
+  for (uint64_t key : keys()) {
+    if (!other.ContainsKey(key)) missing.push_back(key);
+  }
+  return SortedPairsOf(std::move(missing));
+}
+
 std::vector<data::EntityPair> MatchSet::SortedPairs() const {
-  std::vector<data::EntityPair> out;
-  out.reserve(keys_.size());
-  for (uint64_t key : keys_) out.push_back(data::PairFromKey(key));
-  std::sort(out.begin(), out.end());
-  return out;
+  return SortedPairsOf(std::vector<uint64_t>(begin(), end()));
 }
 
 MatchSet TransitiveClosure(const MatchSet& matches) {

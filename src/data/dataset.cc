@@ -177,11 +177,16 @@ void Dataset::FinalizeCandidatePairs() {
   pair_index_.clear();
   pair_index_.reserve(candidate_pairs_.size() * 2);
   pairs_of_entity_.assign(entities_.size(), {});
+  first_pair_from_.assign(entities_.size() + 1, 0);
   for (PairId id = 0; id < candidate_pairs_.size(); ++id) {
     const EntityPair p = candidate_pairs_[id].pair;
     pair_index_.emplace(PairKey(p), id);
     pairs_of_entity_[p.a].push_back(id);
     pairs_of_entity_[p.b].push_back(id);
+    ++first_pair_from_[p.a + 1];
+  }
+  for (size_t e = 0; e < entities_.size(); ++e) {
+    first_pair_from_[e + 1] += first_pair_from_[e];
   }
 }
 

@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "data/entity.h"
@@ -134,6 +135,15 @@ class Dataset {
   /// Candidate pairs incident to entity `e`.
   const std::vector<PairId>& PairsOfEntity(EntityId e) const;
 
+  /// The candidate pairs whose smaller endpoint is `e`: because
+  /// candidate_pairs() is sorted by pair, they are the PairIds
+  /// [first, last), ascending by the larger endpoint. Empty for an entity
+  /// without such pairs.
+  std::pair<PairId, PairId> PairsFrom(EntityId e) const {
+    if (size_t{e} + 1 >= first_pair_from_.size()) return {0, 0};
+    return {first_pair_from_[e], first_pair_from_[e + 1]};
+  }
+
   // --- ground truth ----------------------------------------------------------
 
   /// True if the ground truth labels both entities as the same real-world
@@ -158,6 +168,9 @@ class Dataset {
   std::vector<CandidatePair> candidate_pairs_;
   std::unordered_map<uint64_t, PairId> pair_index_;
   std::vector<std::vector<PairId>> pairs_of_entity_;
+  /// first_pair_from_[e]: the first PairId whose smaller endpoint is >= e
+  /// (num_entities() + 1 offsets).
+  std::vector<PairId> first_pair_from_;
   static const std::vector<PairId> kNoPairs;
 };
 

@@ -48,55 +48,62 @@ InducedModel BuildInducedModel(const data::Dataset& dataset,
                                 std::greater_equal<>()) == members.end() &&
              (members.empty() || members.back() < dataset.num_entities()))
       << "members must be sorted, duplicate-free dataset entities";
-  // Membership of C as one bit per dataset entity: set for the members
-  // here and cleared by the guard on every way out, so the thread's bitmap
-  // is all-zero between calls, whatever dataset the next call brings.
+  // Two per-thread tables, set for this call's members and variables and
+  // cleared by the guard on every way out, so both are all-zero between
+  // calls whatever dataset the next call brings: membership of C as one
+  // bit per dataset entity, and each variable's position + 1 by PairId.
   thread_local std::vector<uint64_t> member_bits;
+  thread_local std::vector<uint32_t> position_of;
   const size_t words = (dataset.num_entities() + 63) / 64;
   if (member_bits.size() < words) member_bits.resize(words, 0);
-  struct ClearOnExit {
-    const std::vector<data::EntityId>& members;
-    ~ClearOnExit() {
-      for (data::EntityId e : members) member_bits[e / 64] = 0;
-    }
-  } clear_on_exit{members};
-  for (data::EntityId e : members) {
-    member_bits[e / 64] |= uint64_t{1} << (e % 64);
+  if (position_of.size() < dataset.num_candidate_pairs()) {
+    position_of.resize(dataset.num_candidate_pairs(), 0);
   }
   const auto in_members = [](data::EntityId e) {
     return ((member_bits[e / 64] >> (e % 64)) & 1) != 0;
   };
   InducedModel model;
-  // Candidate pairs fully inside C, each once: a pair is seen from both
-  // endpoints, so take it from the smaller.
-  for (data::EntityId e : members) {
-    for (data::PairId id : dataset.PairsOfEntity(e)) {
-      const data::EntityPair p = graph.node(id).pair;
-      if (p.a == e && in_members(p.b)) model.vars.push_back(id);
+  {
+    struct ClearOnExit {
+      const std::vector<data::EntityId>& members;
+      const std::vector<data::PairId>& vars;
+      ~ClearOnExit() {
+        for (data::EntityId e : members) member_bits[e / 64] = 0;
+        for (data::PairId id : vars) position_of[id] = 0;
+      }
+    } clear_on_exit{members, model.vars};
+    for (data::EntityId e : members) {
+      member_bits[e / 64] |= uint64_t{1} << (e % 64);
     }
-  }
-  std::sort(model.vars.begin(), model.vars.end());
+    // Candidate pairs fully inside C, each once: from its smaller endpoint,
+    // whose pairs are one PairId range. Members ascend, so the variables
+    // come out ascending.
+    const std::vector<data::CandidatePair>& pairs = dataset.candidate_pairs();
+    for (data::EntityId e : members) {
+      const auto [first, last] = dataset.PairsFrom(e);
+      for (data::PairId id = first; id < last; ++id) {
+        if (in_members(pairs[id].pair.b)) model.vars.push_back(id);
+      }
+    }
+    for (size_t i = 0; i < model.vars.size(); ++i) {
+      position_of[model.vars[i]] = static_cast<uint32_t>(i + 1);
+    }
 
-  model.theta.reserve(model.vars.size());
-  for (size_t i = 0; i < model.vars.size(); ++i) {
-    const PairGraph::Node& node = graph.node(model.vars[i]);
-    double theta = weights.SimWeight(node.level);
-    for (data::EntityId c : node.shared_coauthors) {
-      if (in_members(c)) theta += weights.w_coauthor;
-    }
-    model.theta.push_back(theta);
-    // A link {p, q} is inside C iff q is a variable too, i.e. iff both of
-    // q's endpoints are members. Positions follow PairId order, so
-    // recording it from the smaller id records it once.
-    for (data::PairId q : node.links) {
-      if (q <= model.vars[i]) continue;
-      const data::EntityPair qp = graph.node(q).pair;
-      if (!in_members(qp.a) || !in_members(qp.b)) continue;
-      const auto it = std::lower_bound(model.vars.begin() + i + 1,
-                                       model.vars.end(), q);
-      CEM_DCHECK(it != model.vars.end() && *it == q);
-      model.links.emplace_back(static_cast<int>(i),
-                               static_cast<int>(it - model.vars.begin()));
+    model.theta.reserve(model.vars.size());
+    for (size_t i = 0; i < model.vars.size(); ++i) {
+      const PairGraph::Node& node = graph.node(model.vars[i]);
+      double theta = weights.SimWeight(node.level);
+      for (data::EntityId c : node.shared_coauthors) {
+        if (in_members(c)) theta += weights.w_coauthor;
+      }
+      model.theta.push_back(theta);
+      // A link {p, q} is inside C iff q is a variable too. Positions follow
+      // PairId order, so recording it from the smaller id records it once.
+      for (data::PairId q : node.links) {
+        if (q <= model.vars[i] || position_of[q] == 0) continue;
+        model.links.emplace_back(static_cast<int>(i),
+                                 static_cast<int>(position_of[q] - 1));
+      }
     }
   }
   return model;
@@ -172,11 +179,15 @@ core::MatchSet SolveInducedMap(const InducedModel& model,
     for (int i = 0; i < num_free; ++i) x[i] = on_source_side[i];
   }
 
+  const auto matched = [&](size_t i) {
+    return clamp[i] == Clamp::kOne || (free_index[i] >= 0 && x[free_index[i]]);
+  };
+  size_t num_matched = 0;
+  for (size_t i = 0; i < n; ++i) num_matched += matched(i) ? 1 : 0;
   core::MatchSet out;
+  out.reserve(num_matched);
   for (size_t i = 0; i < n; ++i) {
-    if (clamp[i] == Clamp::kOne || (free_index[i] >= 0 && x[free_index[i]])) {
-      out.Insert(graph.node(model.vars[i]).pair);
-    }
+    if (matched(i)) out.Insert(graph.node(model.vars[i]).pair);
   }
   return out;
 }

@@ -39,8 +39,12 @@ struct InducedModel {
 
 /// Builds the induced model of the neighborhood `members`, which must be
 /// sorted, duplicate-free entities of `dataset` (checked in DCHECK
-/// builds). Every membership test is O(1), against a per-thread bitmap of
-/// num_entities() bits that is all-zero again when the call returns.
+/// builds). It scans only the members' Dataset::PairsFrom ranges, so the
+/// variables come out ascending without a sort. Every membership test is
+/// O(1), against a per-thread bitmap of num_entities() bits, and every
+/// link's partner is found in a per-thread PairId → position table of
+/// num_candidate_pairs() entries; both are all-zero again when the call
+/// returns.
 InducedModel BuildInducedModel(const data::Dataset& dataset,
                                const PairGraph& graph,
                                const MlnWeights& weights,

@@ -1,6 +1,7 @@
 #include "mln/mln_matcher.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "mln/map_inference.h"
 #include "util/logging.h"
@@ -32,10 +33,18 @@ const InducedModel& CachedModel(uint64_t matcher_id,
   thread_local Cache cache;
   if (cache.matcher_id != matcher_id || cache.entities != entities) {
     cache.matcher_id = 0;
-    std::vector<data::EntityId> members = entities;
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()), members.end());
-    cache.model = BuildInducedModel(dataset, graph, weights, members);
+    // Cover neighborhoods are sorted and duplicate-free already; only other
+    // lists are copied and normalised.
+    if (std::adjacent_find(entities.begin(), entities.end(),
+                           std::greater_equal<>()) == entities.end()) {
+      cache.model = BuildInducedModel(dataset, graph, weights, entities);
+    } else {
+      std::vector<data::EntityId> members = entities;
+      std::sort(members.begin(), members.end());
+      members.erase(std::unique(members.begin(), members.end()),
+                    members.end());
+      cache.model = BuildInducedModel(dataset, graph, weights, members);
+    }
     cache.entities = entities;
     cache.matcher_id = matcher_id;
   }

@@ -30,8 +30,11 @@ namespace cem::mln {
 /// matcher's never-reused instance id and the entity list, so the
 /// conditioned re-solves and EntangledPairs call COMPUTEMAXIMAL issues
 /// right after Match reuse it instead of rebuilding it. Threads share no
-/// model, and a model is sized by its neighborhood: there is no
-/// PairId- or EntityId-indexed scratch.
+/// model. Building one (BuildInducedModel) uses two per-thread scratch
+/// tables, sized by the largest dataset the thread has built for: an
+/// EntityId-indexed membership bitmap of num_entities / 8 bytes and a
+/// PairId-indexed position table of 4 × num_candidate_pairs bytes. Both
+/// are all-zero between calls.
 class MlnMatcher : public core::ProbabilisticMatcher {
  public:
   /// Builds the ground network for `dataset`. The dataset must outlive the

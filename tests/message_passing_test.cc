@@ -1,4 +1,8 @@
 #include <algorithm>
+#include <iterator>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +15,7 @@
 #include "data/bib_generator.h"
 #include "data/figure1.h"
 #include "mln/mln_matcher.h"
+#include "util/random.h"
 
 namespace cem::core {
 namespace {
@@ -54,6 +59,184 @@ TEST(MatchSetTest, SetAlgebra) {
   EXPECT_EQ(c.size(), 3u);
   EXPECT_TRUE(a.IsSubsetOf(c));
   EXPECT_FALSE(c.IsSubsetOf(a));
+}
+
+/// The set's keys in iteration order.
+std::vector<uint64_t> IteratedKeys(const MatchSet& s) {
+  return std::vector<uint64_t>(s.keys().begin(), s.keys().end());
+}
+
+/// `s` must hold exactly `want`: same size, every key found, none extra,
+/// and iteration visits each key once.
+void ExpectSameKeys(const MatchSet& s, const std::set<uint64_t>& want,
+                    const std::string& label) {
+  ASSERT_EQ(s.size(), want.size()) << label;
+  std::vector<uint64_t> seen = IteratedKeys(s);
+  std::sort(seen.begin(), seen.end());
+  ASSERT_EQ(seen, std::vector<uint64_t>(want.begin(), want.end())) << label;
+  for (uint64_t key : want) {
+    ASSERT_TRUE(s.Contains(data::PairFromKey(key))) << label;
+    ASSERT_EQ(s.keys().count(key), 1u) << label;
+  }
+}
+
+static_assert(std::forward_iterator<MatchSet::const_iterator>);
+
+/// `n` pairs whose Fibonacci hash has its top eight bits set: each homes in
+/// the last slot of any table up to 256 slots, so a few of them together
+/// fill a probe run that wraps past the table's end.
+std::vector<EntityPair> LastSlotPairs(size_t n) {
+  std::vector<EntityPair> out;
+  for (EntityId b = 1; out.size() < n; ++b) {
+    const uint64_t key = data::PairKey(EntityPair(0, b));
+    if ((key * 0x9e3779b97f4a7c15ULL) >> 56 == 0xff) {
+      out.push_back(EntityPair(0, b));
+    }
+  }
+  return out;
+}
+
+TEST(MatchSetTest, AgreesWithStdSetUnderRandomOperations) {
+  // Pairs over a few entities plus eight that home in the last slot, so
+  // inserts and erases keep hitting the same keys and probe runs keep
+  // wrapping past the table's end. Each run fills and drains the set in
+  // turns of 500 operations, clears it once, and restarts from a new set
+  // once, so the table grows from empty several times.
+  const std::vector<EntityPair> wrapping = LastSlotPairs(8);
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    Rng rng(seed);
+    MatchSet s;
+    std::set<uint64_t> want;
+    const int64_t range = 4 + static_cast<int64_t>(seed);
+    const auto random_pair = [&] {
+      if (rng.NextBernoulli(0.25)) {
+        return wrapping[rng.NextBounded(wrapping.size())];
+      }
+      return EntityPair(static_cast<EntityId>(rng.NextInt(0, range - 1)),
+                        static_cast<EntityId>(rng.NextInt(0, range - 1)));
+    };
+    for (int op = 0; op < 6000; ++op) {
+      const std::string label =
+          "seed " + std::to_string(seed) + ", op " + std::to_string(op);
+      const double insert_share = (op / 500) % 2 == 0 ? 0.7 : 0.3;
+      const EntityPair p = random_pair();
+      const uint64_t key = data::PairKey(p);
+      const double dice = rng.NextDouble();
+      if (op == 2000) {
+        s.clear();
+        want.clear();
+      } else if (op == 4000) {
+        s = MatchSet();
+        want.clear();
+      } else if (dice < insert_share) {
+        ASSERT_EQ(s.Insert(p), want.insert(key).second) << label;
+      } else if (dice < 0.95) {
+        ASSERT_EQ(s.Erase(p), want.erase(key) == 1) << label;
+      } else {
+        MatchSet batch;
+        for (int k = 0; k < 6; ++k) batch.Insert(random_pair());
+        size_t added = 0;
+        for (uint64_t b : batch.keys()) added += want.insert(b).second;
+        ASSERT_EQ(s.InsertAll(batch), added) << label;
+      }
+      const EntityPair probe = random_pair();
+      ASSERT_EQ(s.Contains(probe), want.count(data::PairKey(probe)) == 1)
+          << label;
+      ASSERT_EQ(s.size(), want.size()) << label;
+      if (op % 50 == 0) ExpectSameKeys(s, want, label);
+    }
+    ExpectSameKeys(s, want, "seed " + std::to_string(seed) + ", end");
+  }
+}
+
+TEST(MatchSetTest, EraseKeepsWrappedProbeRunsReachable) {
+  // Four pairs homed in the last slot fill a probe run that wraps past the
+  // end. Erasing any one of them must shift the rest back so each stays
+  // reachable from its home.
+  const std::vector<EntityPair> last_slot = LastSlotPairs(4);
+  for (size_t gone = 0; gone < last_slot.size(); ++gone) {
+    MatchSet s;
+    std::set<uint64_t> want;
+    for (const EntityPair& p : last_slot) {
+      s.Insert(p);
+      want.insert(data::PairKey(p));
+    }
+    ASSERT_TRUE(s.Erase(last_slot[gone]));
+    want.erase(data::PairKey(last_slot[gone]));
+    ExpectSameKeys(s, want, "erased key " + std::to_string(gone));
+    EXPECT_FALSE(s.Contains(last_slot[gone]));
+    EXPECT_FALSE(s.Erase(last_slot[gone]));
+  }
+}
+
+TEST(MatchSetTest, EqualityIgnoresInsertionHistory) {
+  Rng rng(77);
+  std::vector<EntityPair> pairs;
+  for (EntityId a = 0; a < 30; ++a) pairs.push_back(EntityPair(a, a * 7 + 3));
+  // `direct` inserts the pairs once, in order. `churned` inserts them
+  // shuffled, beside extras that make it grow twice as far, then erases
+  // the extras.
+  const MatchSet direct(pairs);
+  MatchSet churned;
+  std::vector<EntityPair> shuffled = pairs;
+  rng.Shuffle(shuffled);
+  for (size_t i = 0; i < shuffled.size(); ++i) {
+    churned.Insert(shuffled[i]);
+    churned.Insert(EntityPair(1000 + static_cast<EntityId>(i), 5000));
+    churned.Insert(EntityPair(2000 + static_cast<EntityId>(i), 6000));
+  }
+  for (size_t i = 0; i < shuffled.size(); ++i) {
+    churned.Erase(EntityPair(2000 + static_cast<EntityId>(i), 6000));
+    churned.Erase(EntityPair(1000 + static_cast<EntityId>(i), 5000));
+  }
+  EXPECT_TRUE(direct == churned);
+  EXPECT_TRUE(churned == direct);
+  EXPECT_EQ(direct.SortedPairs(), churned.SortedPairs());
+  MatchSet other = churned;
+  other.Erase(pairs[4]);
+  other.Insert(EntityPair(4, 999));
+  EXPECT_FALSE(direct == other);
+  EXPECT_FALSE(other == direct);
+  MatchSet moved = std::move(churned);
+  EXPECT_TRUE(moved == direct);
+  EXPECT_TRUE(churned.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(churned.Insert(pairs[0]));
+  EXPECT_EQ(churned.size(), 1u);
+}
+
+TEST(MatchSetTest, ExtremeAndSelfPairKeys) {
+  const std::vector<EntityPair> extremes = {
+      EntityPair(0, 1), EntityPair(0xfffffffe, 0xffffffff), EntityPair(0, 0),
+      EntityPair(0xffffffff, 0xffffffff), EntityPair(12, 12)};
+  MatchSet s;
+  std::set<uint64_t> want;
+  for (const EntityPair& p : extremes) {
+    EXPECT_TRUE(s.Insert(p));
+    EXPECT_FALSE(s.Insert(p));
+    want.insert(data::PairKey(p));
+  }
+  ExpectSameKeys(s, want, "all inserted");
+  EXPECT_EQ(s.SortedPairs(),
+            (std::vector<EntityPair>{EntityPair(0, 0), EntityPair(0, 1),
+                                     EntityPair(12, 12),
+                                     EntityPair(0xfffffffe, 0xffffffff),
+                                     EntityPair(0xffffffff, 0xffffffff)}));
+  for (const EntityPair& p : extremes) {
+    EXPECT_TRUE(s.Erase(p));
+    want.erase(data::PairKey(p));
+    ExpectSameKeys(s, want, "erased one");
+  }
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(MatchSetDeathTest, TheSentinelKeyFailsTheCheck) {
+  // Only an unnormalised pair can carry the empty-slot key.
+  EntityPair raw;
+  raw.a = 0xffffffff;
+  raw.b = 0;
+  ASSERT_EQ(data::PairKey(raw), MatchSet::kEmptyKey);
+  MatchSet s;
+  EXPECT_DEATH(s.Insert(raw), "not normalised");
 }
 
 TEST(MatchSetTest, TransitiveClosureCompletesComponents) {

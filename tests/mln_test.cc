@@ -433,10 +433,12 @@ TEST(ModelReuseTest, RecreatedMatcherAtTheSameAddressGetsItsOwnModel) {
   EXPECT_EQ(slot->Match(all).size(), 5u);
 }
 
-// ------------------------------------------- Membership bitmap hygiene --
-// BuildInducedModel marks C's members in a per-thread bitmap and must leave
-// it all-zero: a bit left over from an earlier call would make that call's
-// members look like members of the next C. Every build below follows the
+// ------------------------------------- Per-thread scratch table hygiene --
+// BuildInducedModel marks C's members in a per-thread bitmap and its
+// variables' positions in a per-thread PairId table, and must leave both
+// all-zero: a bit left over from an earlier call would make that call's
+// members look like members of the next C, and a position left over would
+// turn a link to a non-variable into a link. Every build below follows the
 // previous one on this thread and is compared with a reference builder
 // that binary-searches the sorted members.
 
@@ -508,6 +510,29 @@ struct ModelInputs {
     return ReferenceModel(*dataset, graph, weights, marked).vars.size() >
            ReferenceModel(*dataset, graph, weights, members).vars.size();
   }
+
+  /// True if positions left set for the PairIds `stale` (ascending) beside
+  /// the model of `members` would change it: one of its variables links to
+  /// a higher PairId that is no variable but is one of `stale`.
+  bool StalePositionsWouldShow(const std::vector<EntityId>& members,
+                               const std::vector<data::PairId>& stale) const {
+    const std::vector<data::PairId> vars =
+        ReferenceModel(*dataset, graph, weights, members).vars;
+    for (data::PairId id : vars) {
+      for (data::PairId q : graph.node(id).links) {
+        if (q > id && !std::binary_search(vars.begin(), vars.end(), q) &&
+            std::binary_search(stale.begin(), stale.end(), q)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  /// The reference model's variables over `members`.
+  std::vector<data::PairId> VarsOf(const std::vector<EntityId>& members) const {
+    return ReferenceModel(*dataset, graph, weights, members).vars;
+  }
 };
 
 /// Sorted author references of `d`, every `stride`-th from `offset`.
@@ -559,6 +584,27 @@ TEST(MembershipBitmap, DatasetsOfDifferentSizesLeaveNoStaleBits) {
     small.ExpectBuildMatchesReference(small_half, label + ", then small");
     small.ExpectBuildMatchesReference(small_all, label + ", small");
     large.ExpectBuildMatchesReference(large_half, label + ", then large");
+  }
+}
+
+TEST(PositionTable, DatasetsOfDifferentSizesLeaveNoStalePositions) {
+  // Many candidate pairs, then fewer, then many again: the table sized for
+  // the first dataset serves the second, so every position a build sets
+  // must be clear before the next build reads its links.
+  const ModelInputs many(0.12, 21);
+  const ModelInputs few(0.03, 22);
+  ASSERT_GT(many.dataset->num_candidate_pairs(),
+            few.dataset->num_candidate_pairs());
+  const std::vector<EntityId> many_all = EveryNthRef(*many.dataset, 0, 1);
+  const std::vector<EntityId> many_half = EveryNthRef(*many.dataset, 1, 2);
+  const std::vector<EntityId> few_half = EveryNthRef(*few.dataset, 0, 2);
+  ASSERT_TRUE(few.StalePositionsWouldShow(few_half, many.VarsOf(many_all)));
+  ASSERT_TRUE(many.StalePositionsWouldShow(many_half, few.VarsOf(few_half)));
+  for (int round = 0; round < 2; ++round) {
+    const std::string label = "round " + std::to_string(round);
+    many.ExpectBuildMatchesReference(many_all, label + ", many pairs");
+    few.ExpectBuildMatchesReference(few_half, label + ", then fewer");
+    many.ExpectBuildMatchesReference(many_half, label + ", then many again");
   }
 }
 
