@@ -75,8 +75,8 @@ bool MatchSet::InsertKey(uint64_t key) {
 }
 
 void MatchSet::Rehash(size_t capacity) {
-  std::vector<uint64_t> old(capacity, kEmptyKey);
-  old.swap(slots_);
+  const std::vector<uint64_t> old =
+      std::exchange(slots_, std::vector<uint64_t>(capacity, kEmptyKey));
   shift_ = 64 - std::countr_zero(capacity);
   const size_t mask = capacity - 1;
   for (uint64_t key : old) {
@@ -166,7 +166,7 @@ std::vector<data::EntityPair> MatchSet::Difference(
 }
 
 std::vector<data::EntityPair> MatchSet::SortedPairs() const {
-  return SortedPairsOf(std::vector<uint64_t>(begin(), end()));
+  return SortedPairsOf(std::vector<uint64_t>(keys().begin(), keys().end()));
 }
 
 MatchSet TransitiveClosure(const MatchSet& matches) {

@@ -37,7 +37,6 @@ class MatchSet {
 
     const_iterator() = default;
     reference operator*() const { return *slot_; }
-    pointer operator->() const { return slot_; }
     const_iterator& operator++() {
       ++slot_;
       SkipEmpty();
@@ -69,16 +68,21 @@ class MatchSet {
   /// Read-only view of the set's PairKeys (unsorted).
   class KeyView {
    public:
-    const_iterator begin() const { return set_->begin(); }
-    const_iterator end() const { return set_->end(); }
-    size_t size() const { return set_->size(); }
-    bool empty() const { return set_->empty(); }
+    const_iterator begin() const {
+      return const_iterator(set_->slots_.data(), end_slot());
+    }
+    const_iterator end() const {
+      return const_iterator(end_slot(), end_slot());
+    }
     /// 1 if `key` is in the set, else 0.
     size_t count(uint64_t key) const { return set_->ContainsKey(key); }
 
    private:
     friend class MatchSet;
     explicit KeyView(const MatchSet* set) : set_(set) {}
+    const uint64_t* end_slot() const {
+      return set_->slots_.data() + set_->slots_.size();
+    }
     const MatchSet* set_;
   };
 
@@ -131,13 +135,6 @@ class MatchSet {
   }
 
  private:
-  const_iterator begin() const {
-    return const_iterator(slots_.data(), slots_.data() + slots_.size());
-  }
-  const_iterator end() const {
-    const uint64_t* stop = slots_.data() + slots_.size();
-    return const_iterator(stop, stop);
-  }
   /// Home slot of `key`: the top log2(capacity) bits of a Fibonacci
   /// multiplication. Requires a non-empty table.
   size_t HomeOf(uint64_t key) const {

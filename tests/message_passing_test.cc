@@ -61,17 +61,12 @@ TEST(MatchSetTest, SetAlgebra) {
   EXPECT_FALSE(c.IsSubsetOf(a));
 }
 
-/// The set's keys in iteration order.
-std::vector<uint64_t> IteratedKeys(const MatchSet& s) {
-  return std::vector<uint64_t>(s.keys().begin(), s.keys().end());
-}
-
 /// `s` must hold exactly `want`: same size, every key found, none extra,
 /// and iteration visits each key once.
 void ExpectSameKeys(const MatchSet& s, const std::set<uint64_t>& want,
                     const std::string& label) {
   ASSERT_EQ(s.size(), want.size()) << label;
-  std::vector<uint64_t> seen = IteratedKeys(s);
+  std::vector<uint64_t> seen(s.keys().begin(), s.keys().end());
   std::sort(seen.begin(), seen.end());
   ASSERT_EQ(seen, std::vector<uint64_t>(want.begin(), want.end())) << label;
   for (uint64_t key : want) {
