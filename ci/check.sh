@@ -9,7 +9,7 @@
 # behaviour aborts the test), and a ThreadSanitizer build re-running the
 # concurrency-labeled suites, plus a build of the repository benchmark
 # (perfbench/), its self-tests and one short traced run of each of its
-# four workloads with their output checks. Run from anywhere; a fresh
+# four workloads with their output checks and pinned work counts. Run from anywhere; a fresh
 # checkout passes end-to-end using only the committed baselines.
 #
 # Knobs:
@@ -94,7 +94,10 @@ echo "== repository benchmark output checks (perfbench run --trace 1)"
 # equals the dropped matcher's. A traced
 # run also checks that traced and untraced work counts agree, which a
 # Matcher virtual the runner's decorator does not forward would break. The
-# runner exits non-zero when any check fails.
+# runner exits non-zero when any check fails. Each run's ledger counts are
+# then compared with the ones pinned in ci/perfbench_counts.json (the same
+# at --seconds 1 as in longer runs), so a change that alters the work done
+# fails here unless it updates that file on purpose.
 PERFBENCH_RUN_DIR="${PERFBENCH_BUILD_DIR}/ci-runs"
 for workload in grid-dblp mmp-hepth serve-dblp durable-hepth; do
   rm -rf "${PERFBENCH_RUN_DIR}"
@@ -103,7 +106,10 @@ for workload in grid-dblp mmp-hepth serve-dblp durable-hepth; do
     --out "${PERFBENCH_RUN_DIR}" > /dev/null
   "${PERFBENCH_BUILD_DIR}/perfbench" run --workload "${workload}" --seed 1 \
     --seconds 1 --trace 1 --corpus-dir "${PERFBENCH_RUN_DIR}" \
-    --work-dir "${PERFBENCH_RUN_DIR}"
+    --work-dir "${PERFBENCH_RUN_DIR}" | tee "${PERFBENCH_RUN_DIR}/run.out"
+  python3 "${REPO_ROOT}/ci/check_perfbench_counts.py" \
+    "${REPO_ROOT}/ci/perfbench_counts.json" "${workload}" \
+    "${PERFBENCH_RUN_DIR}/run.out"
 done
 rm -rf "${PERFBENCH_RUN_DIR}"
 
