@@ -511,13 +511,17 @@ struct ModelInputs {
            ReferenceModel(*dataset, graph, weights, members).vars.size();
   }
 
+  /// The reference model's variables over `members`.
+  std::vector<data::PairId> VarsOf(const std::vector<EntityId>& members) const {
+    return ReferenceModel(*dataset, graph, weights, members).vars;
+  }
+
   /// True if positions left set for the PairIds `stale` (ascending) beside
   /// the model of `members` would change it: one of its variables links to
   /// a higher PairId that is no variable but is one of `stale`.
   bool StalePositionsWouldShow(const std::vector<EntityId>& members,
                                const std::vector<data::PairId>& stale) const {
-    const std::vector<data::PairId> vars =
-        ReferenceModel(*dataset, graph, weights, members).vars;
+    const std::vector<data::PairId> vars = VarsOf(members);
     for (data::PairId id : vars) {
       for (data::PairId q : graph.node(id).links) {
         if (q > id && !std::binary_search(vars.begin(), vars.end(), q) &&
@@ -527,11 +531,6 @@ struct ModelInputs {
       }
     }
     return false;
-  }
-
-  /// The reference model's variables over `members`.
-  std::vector<data::PairId> VarsOf(const std::vector<EntityId>& members) const {
-    return ReferenceModel(*dataset, graph, weights, members).vars;
   }
 };
 
