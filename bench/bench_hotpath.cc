@@ -14,8 +14,9 @@
 //  * scores   — scalar vs SIMD EstimateJaccard, per-call-allocating vs
 //    scratch-reusing Jaro-Winkler (scores/s);
 //  * mmp      — sequential MMP (Algorithm 3) with the historical
-//    COMPUTEMAXIMAL (one copy of M+ per hypothesis) and full-sweep step 7
-//    vs core::RunMmp, same MLN matcher (seconds per run, speedup);
+//    COMPUTEMAXIMAL (one std::unordered_set copy of M+ per hypothesis) and
+//    full-sweep step 7 vs core::RunMmp, same MLN matcher (seconds per run,
+//    speedup);
 //  * schemes  — no legacy side: RunSmp, RunMmpWithoutMerge and RunGrid
 //    (SMP and MMP, 4 simulated machines) on the mmp corpus, each grid run
 //    checked against its sequential driver's matches (rounds, evaluations,
@@ -158,18 +159,32 @@ double LegacyJaro(std::string_view a, std::string_view b) {
   return (m / len_a + m / len_b + (m - transpositions / 2.0) / m) / 3.0;
 }
 
-/// The historical COMPUTEMAXIMAL (Algorithm 2), verbatim from the
-/// pre-refactor maximal_message.cc: every hypothesis copies all of M+.
+/// M+ as the historical core::MatchSet held it: one heap node per pair.
+using LegacyKeySet = std::unordered_set<uint64_t>;
+
+/// The historical COMPUTEMAXIMAL (Algorithm 2), from the pre-refactor
+/// maximal_message.cc: every hypothesis copies all of M+, which
+/// `evidence_keys` holds as the std::unordered_set<uint64_t> MatchSet
+/// wrapped then. Today's matcher reads a core::MatchSet, so each call gets
+/// the same evidence through one flat copy of `evidence` per evaluation
+/// with the hypothesis toggled in it.
 std::vector<core::MaximalMessage> LegacyComputeMaximal(
     const core::Matcher& matcher, const std::vector<data::EntityId>& entities,
-    const core::MatchSet& evidence, const core::MatchSet& base) {
+    const core::MatchSet& evidence, const LegacyKeySet& evidence_keys,
+    const core::MatchSet& base) {
   const std::vector<data::EntityPair> hypotheses =
       matcher.EntangledPairs(entities, evidence, base);
   std::vector<core::MatchSet> entailed(hypotheses.size());
+  core::MatchSet conditioned = evidence;
   for (size_t i = 0; i < hypotheses.size(); ++i) {
-    core::MatchSet with_p = evidence;
-    with_p.Insert(hypotheses[i]);
-    entailed[i] = matcher.MatchConditioned(entities, with_p, core::MatchSet());
+    LegacyKeySet with_p = evidence_keys;
+    with_p.insert(data::PairKey(hypotheses[i]));
+    const bool added = conditioned.Insert(hypotheses[i]);
+    CEM_CHECK(with_p.size() == conditioned.size())
+        << "the legacy M+ copy diverged from the evidence it stands for";
+    entailed[i] =
+        matcher.MatchConditioned(entities, conditioned, core::MatchSet());
+    if (added) conditioned.Erase(hypotheses[i]);
   }
   std::unordered_map<uint64_t, uint32_t> position;
   for (uint32_t i = 0; i < hypotheses.size(); ++i) {
@@ -218,11 +233,15 @@ core::MpResult LegacyRunMmp(const core::ProbabilisticMatcher& matcher,
   const size_t cap = cover.size() * std::max<size_t>(k * k, 16) + 64;
 
   core::MatchSet& matched = result.matches;
+  LegacyKeySet matched_keys;  // M+ again, as the per-hypothesis copies see it.
   core::MaximalMessageSet messages;
   const auto promote = [&](uint32_t id,
                            std::vector<data::EntityPair>& new_matches) {
     for (const data::EntityPair& p : messages.Message(id)) {
-      if (matched.Insert(p)) new_matches.push_back(p);
+      if (matched.Insert(p)) {
+        matched_keys.insert(data::PairKey(p));
+        new_matches.push_back(p);
+      }
     }
     messages.RemoveMessage(id);
     ++result.messages_promoted;
@@ -236,12 +255,13 @@ core::MpResult LegacyRunMmp(const core::ProbabilisticMatcher& matcher,
         cover.neighborhood(c).entities;
     const core::MatchSet mc = matcher.Match(entities, matched);
     const std::vector<core::MaximalMessage> tc =
-        LegacyComputeMaximal(matcher, entities, matched, mc);
+        LegacyComputeMaximal(matcher, entities, matched, matched_keys, mc);
     result.matcher_calls += 2;
     result.messages_created += tc.size();
 
     std::vector<data::EntityPair> new_matches = mc.Difference(matched);
     matched.InsertAll(mc);
+    for (uint64_t key : mc.keys()) matched_keys.insert(key);
     for (const core::MaximalMessage& m : tc) messages.Insert(m);
 
     bool promoted = true;
