@@ -33,15 +33,19 @@ class Matcher {
 
   /// E(C, V+, V-). `entities` lists the neighborhood's members (order
   /// irrelevant, duplicates ignored). The output contains every
-  /// positive-evidence pair inside C x C (this makes idempotence natural)
-  /// plus the newly inferred matches.
+  /// positive-evidence pair inside C x C that the matcher reads and that is
+  /// not negative evidence (this makes idempotence natural), plus the newly
+  /// inferred matches. A pair the matcher never reads may be left out:
+  /// mln::MlnMatcher drops non-candidate pairs, rules::RulesMatcher keeps
+  /// them because its closure reads them.
   ///
   /// Evidence locality (load-bearing): evidence outside C x C is ignored,
   /// so restricting V+ and V- to pairs with both endpoints in C — candidate
   /// pairs or not — never changes the output of Match, MatchConditioned or
-  /// EntangledPairs. COMPUTEMAXIMAL relies on it to hand conditioned runs
-  /// that restriction instead of a copy of all of M+;
-  /// tests/properties_test.cc pins it for the shipped matchers.
+  /// EntangledPairs. COMPUTEMAXIMAL relies on both properties: it conditions
+  /// its runs on Match(C, M+)'s output intersected with M+ instead of on a
+  /// copy of all of M+; tests/properties_test.cc pins both for the shipped
+  /// matchers.
   virtual MatchSet Match(const std::vector<data::EntityId>& entities,
                          const MatchSet& positive,
                          const MatchSet& negative) const = 0;

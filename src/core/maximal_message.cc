@@ -7,36 +7,6 @@
 #include "util/logging.h"
 
 namespace cem::core {
-namespace {
-
-/// The pairs of `evidence` with both endpoints in `members` (which must be
-/// sorted and duplicate-free), found by walking whichever is smaller:
-/// members x members or the evidence. Non-candidate pairs are kept —
-/// matchers may use them (RulesMatcher's closure does).
-MatchSet RestrictToMembers(const MatchSet& evidence,
-                           const std::vector<data::EntityId>& members) {
-  MatchSet out;
-  const size_t k = members.size();
-  if (k * (k - 1) / 2 < evidence.size()) {
-    for (size_t i = 0; i < k; ++i) {
-      for (size_t j = i + 1; j < k; ++j) {
-        const data::EntityPair p(members[i], members[j]);
-        if (evidence.Contains(p)) out.Insert(p);
-      }
-    }
-    return out;
-  }
-  const auto in_members = [&](data::EntityId e) {
-    return std::binary_search(members.begin(), members.end(), e);
-  };
-  for (uint64_t key : evidence.keys()) {
-    const data::EntityPair p = data::PairFromKey(key);
-    if (in_members(p.a) && in_members(p.b)) out.Insert(p);
-  }
-  return out;
-}
-
-}  // namespace
 
 std::vector<MaximalMessage> ComputeMaximal(
     const Matcher& matcher, const std::vector<data::EntityId>& entities,
@@ -51,12 +21,14 @@ std::vector<MaximalMessage> ComputeMaximal(
   if (hypotheses.empty()) return {};
 
   // One clamped run per hypothesis: what else does assuming p entail? The
-  // matcher only sees evidence inside C x C, so M+ is restricted once and
-  // each hypothesis toggled in that small set.
-  std::vector<data::EntityId> members = entities;
-  std::sort(members.begin(), members.end());
-  members.erase(std::unique(members.begin(), members.end()), members.end());
-  MatchSet local = RestrictToMembers(evidence, members);
+  // matcher reads only evidence inside C x C, and `base` holds every such
+  // pair of M+ that it reads, so base ∩ M+ is all the evidence a run needs;
+  // each hypothesis is toggled in that small set.
+  MatchSet local;
+  local.reserve(base.size() + 1);
+  for (uint64_t key : base.keys()) {
+    if (evidence.keys().count(key) != 0) local.Insert(data::PairFromKey(key));
+  }
   std::vector<MatchSet> entailed(hypotheses.size());
   for (size_t i = 0; i < hypotheses.size(); ++i) {
     const bool added = local.Insert(hypotheses[i]);

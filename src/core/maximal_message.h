@@ -26,14 +26,23 @@ inline constexpr double kScoreEps = 1e-9;
 /// COMPUTEMAXIMAL (Algorithm 2). For each unresolved candidate pair p in
 /// neighborhood C, runs E(C, M+ ∪ {p}) and connects p—p' on mutual
 /// entailment; connected components are the maximal messages (Lemma 1).
-/// Pairs already matched (in `base`, the matcher's output on (C, M+)) are
-/// excluded — they are facts, not hypotheses; singleton components are
-/// dropped as information-free.
+/// Pairs already matched are excluded — they are facts, not hypotheses;
+/// singleton components are dropped as information-free.
 ///
-/// Cost is proportional to the neighborhood, not to M+: the evidence is
-/// restricted once to C x C (the evidence-locality contract of
-/// core/matcher.h makes that invisible to the matcher) and each hypothesis
-/// is inserted into and erased from that one small set.
+/// Precondition: `base` is matcher.Match(entities, evidence)'s output, with
+/// `evidence` = M+. The Match contract of core/matcher.h puts every pair of
+/// M+ inside C x C that the matcher reads into that output, so base ∩ M+
+/// is all the evidence a conditioned run reads; a `base` from other
+/// evidence silently conditions the runs on the wrong set.
+///
+/// Cost is proportional to the neighborhood, never to M+: one
+/// EntangledPairs call; base ∩ M+ built once with |base| probes into
+/// `evidence`; then per hypothesis (h of them, h <= k(k-1)/2 for k
+/// entities) one MatchConditioned call with the hypothesis inserted into
+/// and erased from that small set; then one hash probe per pair of every
+/// conditioned output, O(h·k²), for the mutual-entailment graph. That is
+/// O(k⁴ + h·f(k)) for a matcher of cost f(k), the per-neighborhood cost
+/// of Theorem 5.
 ///
 /// When `conditioned_calls` is non-null it receives the number of
 /// MatchConditioned calls issued: exactly one per hypothesis.

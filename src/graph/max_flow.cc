@@ -7,11 +7,6 @@
 #include "util/logging.h"
 
 namespace cem::graph {
-namespace {
-// Capacities below this are treated as exhausted to keep floating point
-// residuals from creating phantom augmenting paths.
-constexpr double kEps = 1e-12;
-}  // namespace
 
 MaxFlow::MaxFlow(int num_nodes) : adjacency_(num_nodes) {
   CEM_CHECK(num_nodes >= 2);
@@ -36,7 +31,7 @@ bool MaxFlow::Bfs(int source, int sink) {
     int u = queue.front();
     queue.pop_front();
     for (const Edge& e : adjacency_[u]) {
-      if (e.cap > kEps && level_[e.to] < 0) {
+      if (e.cap > kCapacityEps && level_[e.to] < 0) {
         level_[e.to] = level_[u] + 1;
         queue.push_back(e.to);
       }
@@ -49,9 +44,9 @@ double MaxFlow::Dfs(int node, int sink, double pushed) {
   if (node == sink) return pushed;
   for (size_t& i = iter_[node]; i < adjacency_[node].size(); ++i) {
     Edge& e = adjacency_[node][i];
-    if (e.cap <= kEps || level_[e.to] != level_[node] + 1) continue;
+    if (e.cap <= kCapacityEps || level_[e.to] != level_[node] + 1) continue;
     double got = Dfs(e.to, sink, std::min(pushed, e.cap));
-    if (got > kEps) {
+    if (got > kCapacityEps) {
       e.cap -= got;
       adjacency_[e.to][e.reverse].cap += got;
       return got;
@@ -71,7 +66,7 @@ double MaxFlow::Solve(int source, int sink) {
     while (true) {
       double pushed =
           Dfs(source, sink, std::numeric_limits<double>::infinity());
-      if (pushed <= kEps) break;
+      if (pushed <= kCapacityEps) break;
       flow += pushed;
     }
   }
@@ -88,7 +83,7 @@ std::vector<bool> MaxFlow::SourceSideMinCut() const {
     int u = queue.front();
     queue.pop_front();
     for (const Edge& e : adjacency_[u]) {
-      if (e.cap > kEps && !reachable[e.to]) {
+      if (e.cap > kCapacityEps && !reachable[e.to]) {
         reachable[e.to] = true;
         queue.push_back(e.to);
       }
@@ -113,7 +108,7 @@ std::vector<bool> MaxFlow::SinkUnreachableSet() const {
     // capacity of the edge (e.to -> u) is adjacency_[e.to][e.reverse].cap.
     for (const Edge& e : adjacency_[u]) {
       const Edge& incoming = adjacency_[e.to][e.reverse];
-      if (incoming.cap > kEps && !reaches_sink[e.to]) {
+      if (incoming.cap > kCapacityEps && !reaches_sink[e.to]) {
         reaches_sink[e.to] = true;
         queue.push_back(e.to);
       }

@@ -7,6 +7,12 @@
 
 namespace cem::graph {
 
+/// Residual capacities at or below this count as exhausted, so
+/// floating-point residue never opens a phantom augmenting path. It is
+/// also why a node whose only edge is one to the sink of capacity c stays
+/// sink-unreachable unless c > kCapacityEps.
+inline constexpr double kCapacityEps = 1e-12;
+
 /// Dinic max-flow over a directed graph with double capacities.
 ///
 /// This is the exact-MAP substrate for the MLN matcher: the Appendix-B MLN

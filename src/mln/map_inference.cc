@@ -148,35 +148,67 @@ core::MatchSet SolveInducedMap(const InducedModel& model,
     stats->num_edges = free_links.size();
   }
 
-  // Maximise sum(theta_i x_i) + sum(w x_i x_j)  ==  min-cut (see DESIGN.md).
+  // Maximise S(x) = sum_i theta_i x_i + sum_links w x_i x_j, i.e. minimise
+  // E(x) = -S(x), over the free variables. As x_i x_j = (x_i + x_j -
+  // [x_i != x_j]) / 2, each link splits into unary terms and a cut term:
+  //   E(x) = sum_i c_i x_i + sum_links (w/2) [x_i != x_j],
+  //   c_i  = -theta_i - (w/2) * (free links at i).
+  // With x_i = 1 meaning "source side", an s-t cut prices E exactly, up to
+  // the constant sum of negative c_i: an edge i -> sink of capacity c_i
+  // when c_i > 0 (cut when x_i = 1), source -> i of capacity -c_i when
+  // c_i < 0 (cut when x_i = 0), and w/2 both ways per link (cut when the
+  // ends differ). w >= 0 keeps every capacity non-negative (submodular).
+  // The largest minimiser is the sink-unreachable side of the residual
+  // graph after max flow.
+  //
+  // A variable no free link touches has only its unary edge, so it never
+  // carries flow and the cut decides it alone: it reaches the sink iff its
+  // edge goes there with capacity above the flow's epsilon. Only linked
+  // variables enter the network, numbered in variable order so that their
+  // edges go in exactly as a network over every free variable would add
+  // them; the flow, and so each linked variable's side, is the same.
   std::vector<bool> x(num_free, false);
   if (num_free > 0) {
     const double w = weights.w_coauthor;
     CEM_CHECK(w >= 0.0) << "attractive coauthor weight required for exact "
                            "graph-cut inference";
-    // c_i = -theta_i - (w/2) * degree_i ; pairwise w/2 both ways.
     std::vector<double> c(num_free);
     for (int i = 0; i < num_free; ++i) c[i] = -theta[i];
     for (const auto& [i, j] : free_links) {
       c[i] -= w / 2.0;
       c[j] -= w / 2.0;
     }
-    graph::MaxFlow flow(num_free + 2);
-    const int source = num_free;
-    const int sink = num_free + 1;
+    std::vector<int> node(num_free, -1);  // Flow node; -1 when unlinked.
+    for (const auto& [i, j] : free_links) node[i] = node[j] = 0;
+    int num_linked = 0;
     for (int i = 0; i < num_free; ++i) {
-      if (c[i] > 0) {
-        flow.AddEdge(i, sink, c[i]);
-      } else if (c[i] < 0) {
-        flow.AddEdge(source, i, -c[i]);
+      if (node[i] == 0) {
+        node[i] = num_linked++;
+      } else {
+        x[i] = !(c[i] > graph::kCapacityEps);
       }
     }
-    for (const auto& [i, j] : free_links) {
-      flow.AddEdge(i, j, w / 2.0, w / 2.0);
+    if (num_linked > 0) {
+      graph::MaxFlow flow(num_linked + 2);
+      const int source = num_linked;
+      const int sink = num_linked + 1;
+      for (int i = 0; i < num_free; ++i) {
+        if (node[i] < 0) continue;
+        if (c[i] > 0) {
+          flow.AddEdge(node[i], sink, c[i]);
+        } else if (c[i] < 0) {
+          flow.AddEdge(source, node[i], -c[i]);
+        }
+      }
+      for (const auto& [i, j] : free_links) {
+        flow.AddEdge(node[i], node[j], w / 2.0, w / 2.0);
+      }
+      flow.Solve(source, sink);
+      const std::vector<bool> on_source_side = flow.SinkUnreachableSet();
+      for (int i = 0; i < num_free; ++i) {
+        if (node[i] >= 0) x[i] = on_source_side[node[i]];
+      }
     }
-    flow.Solve(source, sink);
-    const std::vector<bool> on_source_side = flow.SinkUnreachableSet();
-    for (int i = 0; i < num_free; ++i) x[i] = on_source_side[i];
   }
 
   const auto matched = [&](size_t i) {

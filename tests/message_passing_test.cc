@@ -290,8 +290,9 @@ TEST_F(Figure1Mp, SmpIsOrderInvariant) {
 
 TEST_F(Figure1Mp, MaximalMessagesOfC1) {
   // C1 = {a1,a2,b2,b3}: pairs (a1,a2) and (b2,b3) entail each other.
-  const auto messages = ComputeMaximal(matcher_, fig_.neighborhoods[0],
-                                       MatchSet(), MatchSet());
+  const std::vector<EntityId>& c1 = fig_.neighborhoods[0];
+  const auto messages =
+      ComputeMaximal(matcher_, c1, MatchSet(), matcher_.Match(c1));
   ASSERT_EQ(messages.size(), 1u);
   std::vector<EntityPair> sorted = messages[0];
   std::sort(sorted.begin(), sorted.end());
@@ -301,8 +302,9 @@ TEST_F(Figure1Mp, MaximalMessagesOfC1) {
 
 TEST_F(Figure1Mp, MaximalMessagesOfC2) {
   // C2 produces {(b1,b2),(c1,c2)}, {(b2,b3),(c2,c3)}, {(b1,b3),(c1,c3)}.
-  const auto messages = ComputeMaximal(matcher_, fig_.neighborhoods[1],
-                                       MatchSet(), MatchSet());
+  const std::vector<EntityId>& c2 = fig_.neighborhoods[1];
+  const auto messages =
+      ComputeMaximal(matcher_, c2, MatchSet(), matcher_.Match(c2));
   EXPECT_EQ(messages.size(), 3u);
   bool found_paper_message = false;
   for (const auto& m : messages) {
@@ -321,8 +323,9 @@ TEST_F(Figure1Mp, MatchedPairsAreNotHypotheses) {
   // Once (c1,c2) is evidence, C3 has no unresolved pair -> no messages.
   MatchSet evidence;
   evidence.Insert(P(fig_.c1, fig_.c2));
-  const auto messages = ComputeMaximal(matcher_, fig_.neighborhoods[2],
-                                       evidence, MatchSet());
+  const std::vector<EntityId>& c3 = fig_.neighborhoods[2];
+  const auto messages =
+      ComputeMaximal(matcher_, c3, evidence, matcher_.Match(c3, evidence));
   EXPECT_TRUE(messages.empty());
 }
 
@@ -331,8 +334,9 @@ TEST_F(Figure1Mp, MaximalMessagesSatisfyDefinition) {
   // E(E) or disjoint from it.
   const MatchSet full = matcher_.MatchAll();
   for (size_t n = 0; n < cover_.size(); ++n) {
-    for (const auto& m : ComputeMaximal(matcher_, cover_.neighborhood(n).entities,
-                                        MatchSet(), MatchSet())) {
+    const std::vector<EntityId>& c = cover_.neighborhood(n).entities;
+    for (const auto& m :
+         ComputeMaximal(matcher_, c, MatchSet(), matcher_.Match(c))) {
       size_t inside = 0;
       for (const EntityPair& p : m) inside += full.Contains(p) ? 1 : 0;
       EXPECT_TRUE(inside == 0 || inside == m.size())

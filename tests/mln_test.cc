@@ -12,6 +12,7 @@
 #include "data/bib_generator.h"
 #include "data/dataset.h"
 #include "data/figure1.h"
+#include "graph/max_flow.h"
 #include "mln/grounding.h"
 #include "mln/map_inference.h"
 #include "mln/mln_matcher.h"
@@ -322,6 +323,129 @@ TEST_P(MapSolverProperty, GraphCutEqualsBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, MapSolverProperty,
                          ::testing::Range<uint64_t>(0, 40));
+
+// SolveInducedMap keeps free variables that no free link touches out of the
+// max-flow and decides each by its unary term. The reference below is the
+// solve that puts every free variable into one network.
+
+/// SolveInducedMap with every free variable a node of the flow network.
+MatchSet FullNetworkMap(const InducedModel& model, const PairGraph& graph,
+                        const MlnWeights& weights, const MatchSet& positive,
+                        const MatchSet& negative) {
+  const size_t n = model.vars.size();
+  std::vector<int> clamp(n, 0);  // 0 free, 1 matched, -1 not matched.
+  std::vector<int> free_index(n, -1);
+  int num_free = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const EntityPair p = graph.node(model.vars[i]).pair;
+    if (negative.Contains(p)) {
+      clamp[i] = -1;
+    } else if (positive.Contains(p)) {
+      clamp[i] = 1;
+    } else {
+      free_index[i] = num_free++;
+    }
+  }
+  std::vector<double> theta(num_free);
+  for (size_t i = 0; i < n; ++i) {
+    if (free_index[i] >= 0) theta[free_index[i]] = model.theta[i];
+  }
+  const double w = weights.w_coauthor;
+  std::vector<std::pair<int, int>> free_links;
+  for (const auto& [i, j] : model.links) {
+    if (clamp[i] == 0 && clamp[j] == 0) {
+      free_links.emplace_back(free_index[i], free_index[j]);
+    } else if (clamp[i] == 0 && clamp[j] == 1) {
+      theta[free_index[i]] += w;
+    } else if (clamp[j] == 0 && clamp[i] == 1) {
+      theta[free_index[j]] += w;
+    }
+  }
+  std::vector<bool> x(num_free, false);
+  if (num_free > 0) {
+    std::vector<double> c(num_free);
+    for (int i = 0; i < num_free; ++i) c[i] = -theta[i];
+    for (const auto& [i, j] : free_links) {
+      c[i] -= w / 2.0;
+      c[j] -= w / 2.0;
+    }
+    graph::MaxFlow flow(num_free + 2);
+    const int source = num_free;
+    const int sink = num_free + 1;
+    for (int i = 0; i < num_free; ++i) {
+      if (c[i] > 0) {
+        flow.AddEdge(i, sink, c[i]);
+      } else if (c[i] < 0) {
+        flow.AddEdge(source, i, -c[i]);
+      }
+    }
+    for (const auto& [i, j] : free_links) {
+      flow.AddEdge(i, j, w / 2.0, w / 2.0);
+    }
+    flow.Solve(source, sink);
+    const std::vector<bool> on_source_side = flow.SinkUnreachableSet();
+    for (int i = 0; i < num_free; ++i) x[i] = on_source_side[i];
+  }
+  MatchSet out;
+  for (size_t i = 0; i < n; ++i) {
+    if (clamp[i] == 1 || (free_index[i] >= 0 && x[free_index[i]])) {
+      out.Insert(graph.node(model.vars[i]).pair);
+    }
+  }
+  return out;
+}
+
+TEST(UnlinkedVariables, DecideLikeTheFullNetworkAtTheFlowEpsilon) {
+  // Variables with no induced link get unary weights at and around the
+  // flow's epsilon, where "not above kCapacityEps" and "not above zero"
+  // part ways.
+  const double kThetas[] = {0.0,    1e-13, -1e-13, 1e-12,
+                            -1e-12, 1e-11, -1e-11};
+  size_t unlinked = 0;  // In total; each is free in the no-evidence solve.
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    RandomInstance instance(seed);
+    const data::Dataset& d = instance.dataset();
+    const PairGraph graph = PairGraph::Build(d);
+    std::vector<EntityId> members;
+    for (size_t e = 0; e < d.num_entities(); ++e) {
+      if (instance.rng().NextBernoulli(0.8)) {
+        members.push_back(static_cast<EntityId>(e));
+      }
+    }
+    InducedModel model =
+        BuildInducedModel(d, graph, instance.weights(), members);
+    std::vector<bool> linked(model.vars.size(), false);
+    for (const auto& [i, j] : model.links) linked[i] = linked[j] = true;
+    MatchSet positive, negative;
+    for (const auto& cp : d.candidate_pairs()) {
+      const double roll = instance.rng().NextDouble();
+      if (roll < 0.1) {
+        positive.Insert(cp.pair);
+      } else if (roll < 0.2) {
+        negative.Insert(cp.pair);
+      }
+    }
+    unlinked += static_cast<size_t>(
+        std::count(linked.begin(), linked.end(), false));
+    const MatchSet none;
+    for (const double theta : kThetas) {
+      for (size_t i = 0; i < model.vars.size(); ++i) {
+        if (!linked[i]) model.theta[i] = theta;
+      }
+      for (const bool with_evidence : {false, true}) {
+        const MatchSet& pos = with_evidence ? positive : none;
+        const MatchSet& neg = with_evidence ? negative : none;
+        EXPECT_EQ(SolveInducedMap(model, graph, instance.weights(), pos, neg)
+                      .SortedPairs(),
+                  FullNetworkMap(model, graph, instance.weights(), pos, neg)
+                      .SortedPairs())
+            << "seed " << seed << ", theta " << theta
+            << (with_evidence ? ", with evidence" : "");
+      }
+    }
+  }
+  EXPECT_GT(unlinked, 0u);
+}
 
 // --------------------------------------------- Per-thread model reuse --
 // MlnMatcher keeps the last induced model per thread; reuse must never show
