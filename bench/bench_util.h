@@ -2,8 +2,10 @@
 #define CEM_BENCH_BENCH_UTIL_H_
 
 // Shared plumbing for the per-figure bench binaries. Each binary prints the
-// rows/series of one paper figure or table (see DESIGN.md §4) and a short
-// note tying the measured shape back to the paper's claim.
+// rows/series of one paper figure or table (the binary is named after it:
+// fig3a_accuracy_hepth, table1_grid, ...; README's "Tests, benches,
+// examples" section lists them) and a short note tying the measured shape
+// back to the paper's claim.
 
 #include <cinttypes>
 #include <cstdio>

@@ -6,9 +6,12 @@
 // super-linear in active size. Our exact graph-cut solver is so fast that
 // this regime disappears at raw wall-clock, so the bench reports both the
 // raw times and the times under eval::CostModelMatcher, which restores the
-// paper's expensive-inference cost profile (see DESIGN.md §1). MMP pays
-// for COMPUTEMAXIMAL's clamped per-hypothesis runs — an overhead our
-// implementation makes explicit (EXPERIMENTS.md discusses the deviation).
+// paper's expensive-inference cost profile: each Match call busy-waits
+// 2 µs × (free variables)^1.6 before solving. MMP pays for
+// COMPUTEMAXIMAL's clamped per-hypothesis runs — an overhead our
+// implementation makes explicit; the cost model charges each such run
+// 0.002 × 2 µs × (neighborhood entities)^1.6, modelling an incremental
+// re-solve.
 
 #include "bench_util.h"
 #include "core/message_passing.h"

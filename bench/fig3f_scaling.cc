@@ -5,7 +5,7 @@
 // The paper's point: Full EM grows super-linearly with the number of
 // matching decisions and becomes prohibitive, while MMP stays linear in
 // the number of neighborhoods (bounded neighborhood size). The matcher
-// runs under the cost model (DESIGN.md §1) so the inference cost profile
+// runs under eval::CostModelMatcher so the inference cost profile
 // matches the paper's Alchemy-based matcher: cost ∝ (active size)^1.6 —
 // for the holistic run the active size is the whole candidate-pair set,
 // for MMP it is one neighborhood at a time.

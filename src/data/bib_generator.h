@@ -13,7 +13,7 @@ namespace cem::data {
 /// Configuration of the synthetic bibliography generator.
 ///
 /// The paper's corpora are not redistributable, so we synthesise corpora
-/// that reproduce their relevant *structure* (see DESIGN.md §1):
+/// that reproduce their relevant *structure*:
 ///  * HEPTH-like — first names abbreviated to initials with high
 ///    probability, producing many name clashes → fewer, larger canopies;
 ///  * DBLP-like — full names with small random character mutations (the

@@ -16,9 +16,11 @@ namespace cem::mln {
 ///
 /// plus the implicit reflexivity rule equals(e, e).
 ///
-/// Grounding semantics (documented in DESIGN.md and validated against every
-/// number in the paper's Section 2.1 worked example): the score of a match
-/// set S is, up to an additive constant,
+/// Grounding semantics (every number of the paper's Section 2.1 worked
+/// example follows from it; tests/mln_test.cc checks them in
+/// PairGraphTest.GlobalThetaFigure1Demo and
+/// MlnMatcherTest.ScoreMatchesPaperArithmetic): the score of a match set S
+/// is, up to an additive constant,
 ///
 ///   Score(S) =  Σ_p  w_sim[level(p)] · x_p
 ///            +  Σ_p  w_coauthor · shared_coauthors(p) · x_p     (reflexive)

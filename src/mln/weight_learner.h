@@ -15,8 +15,9 @@ struct LearnOptions {
   double max_abs_weight = 15.0;
 };
 
-/// Learns MLN rule weights from a labelled dataset (substitute for the
-/// paper's Alchemy training run; see DESIGN.md §1).
+/// Learns MLN rule weights from a labelled dataset: a closed-form stand-in
+/// for the paper's Alchemy training run, whose learned weights are
+/// MlnWeights::PaperLearned().
 ///
 /// Estimator: the similarity-rule weight at level s is the smoothed
 /// log-odds of a candidate pair at that level being a true match; the

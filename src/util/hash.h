@@ -36,8 +36,9 @@ inline constexpr uint64_t Fnv1a64(std::string_view bytes) {
 
 /// SplitMix64 finalizer: full-avalanche mix of a salted base hash. Shared
 /// by the MinHash kernel and the LSH band-key chain; its exact constants
-/// are pinned by the persisted snapshot format (band keys are stored on
-/// disk) and the blessed signature fixtures — never change them.
+/// are pinned by the MinHash signatures snapshots persist (`sig_*.bin`;
+/// band keys are rebuilt on load, not stored) and by the golden snapshot
+/// fixtures under tests/data/ — never change them.
 inline constexpr uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

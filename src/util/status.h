@@ -24,9 +24,8 @@ enum class StatusCode {
 /// Returns a human-readable name for `code` (e.g. "INVALID_ARGUMENT").
 std::string_view StatusCodeToString(StatusCode code);
 
-/// Lightweight status object for fallible operations. The library does not
-/// use exceptions (see DESIGN.md); functions that can fail return `Status`
-/// or `Result<T>`.
+/// Lightweight status object for fallible operations. Library functions
+/// that can fail return `Status` or `Result<T>` rather than throw.
 class Status {
  public:
   /// Constructs an OK status.
