@@ -41,8 +41,8 @@ inline constexpr double kScoreEps = 1e-9;
 /// entities) one MatchConditioned call with the hypothesis inserted into
 /// and erased from that small set; then one hash probe per pair of every
 /// conditioned output, O(h·k²), for the mutual-entailment graph. That is
-/// O(k⁴ + h·f(k)) for a matcher of cost f(k), the per-neighborhood cost
-/// of Theorem 5.
+/// O(k⁴ + h·f(k)) for a matcher of cost f(k), within the O(k⁴ f(k)) per
+/// neighborhood that Theorem 5 charges.
 ///
 /// When `conditioned_calls` is non-null it receives the number of
 /// MatchConditioned calls issued: exactly one per hypothesis.

@@ -8,9 +8,10 @@
 namespace cem::graph {
 
 /// Residual capacities at or below this count as exhausted, so
-/// floating-point residue never opens a phantom augmenting path. It is
-/// also why a node whose only edge is one to the sink of capacity c stays
-/// sink-unreachable unless c > kCapacityEps.
+/// floating-point residue never opens a phantom augmenting path.
+/// SinkUnreachableSet applies the same test: a node whose only edge goes to
+/// the sink with capacity c reaches the sink iff c > kCapacityEps.
+/// mln::SolveInducedMap decides variables it keeps out of the network by it.
 inline constexpr double kCapacityEps = 1e-12;
 
 /// Dinic max-flow over a directed graph with double capacities.

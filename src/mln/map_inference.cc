@@ -153,13 +153,12 @@ core::MatchSet SolveInducedMap(const InducedModel& model,
   // [x_i != x_j]) / 2, each link splits into unary terms and a cut term:
   //   E(x) = sum_i c_i x_i + sum_links (w/2) [x_i != x_j],
   //   c_i  = -theta_i - (w/2) * (free links at i).
-  // With x_i = 1 meaning "source side", an s-t cut prices E exactly, up to
-  // the constant sum of negative c_i: an edge i -> sink of capacity c_i
-  // when c_i > 0 (cut when x_i = 1), source -> i of capacity -c_i when
-  // c_i < 0 (cut when x_i = 0), and w/2 both ways per link (cut when the
-  // ends differ). w >= 0 keeps every capacity non-negative (submodular).
-  // The largest minimiser is the sink-unreachable side of the residual
-  // graph after max flow.
+  // With x_i = 1 meaning "source side", an s-t cut prices E up to a
+  // constant: an edge i -> sink of capacity c_i when c_i > 0 (cut when
+  // x_i = 1), source -> i of capacity -c_i when c_i < 0 (cut when x_i = 0),
+  // and w/2 both ways per link (cut when the ends differ). w >= 0 keeps
+  // every capacity non-negative (submodular). The largest minimiser is the
+  // sink-unreachable side of the residual graph after max flow.
   //
   // A variable no free link touches has only its unary edge, so it never
   // carries flow and the cut decides it alone: it reaches the sink iff its
@@ -178,14 +177,15 @@ core::MatchSet SolveInducedMap(const InducedModel& model,
       c[i] -= w / 2.0;
       c[j] -= w / 2.0;
     }
-    std::vector<int> node(num_free, -1);  // Flow node; -1 when unlinked.
+    // Flow node of each linked variable, in variable order; -1 if unlinked.
+    std::vector<int> node(num_free, -1);
     for (const auto& [i, j] : free_links) node[i] = node[j] = 0;
     int num_linked = 0;
     for (int i = 0; i < num_free; ++i) {
-      if (node[i] == 0) {
-        node[i] = num_linked++;
-      } else {
+      if (node[i] < 0) {
         x[i] = !(c[i] > graph::kCapacityEps);
+      } else {
+        node[i] = num_linked++;
       }
     }
     if (num_linked > 0) {
